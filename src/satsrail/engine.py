@@ -174,6 +174,10 @@ class ScenarioConfig:
     var_sigma_monthly: float | None = None
 
     def validate(self) -> None:
+        self._validated_graph()
+
+    def _validated_graph(self) -> ChannelGraph:
+        """Validate and return the graph built from ``graph_spec`` on the way."""
         if self.start_price_cents <= 0:
             raise ConfigError("start_price_cents", "must be positive")
         if self.payment_cap_per_month < 1:
@@ -203,6 +207,7 @@ class ScenarioConfig:
                     raise ConfigError("sleeve_peers", f"weight for {peer!r} not positive")
         if self.var_sigma_monthly is not None and self.var_sigma_monthly < 0:
             raise ConfigError("var_sigma_monthly", "must be non-negative")
+        return graph
 
     def sigma_monthly(self) -> float:
         """Monthly volatility used by the VaR check.
@@ -540,7 +545,8 @@ def _price_path(config: ScenarioConfig, path_index: int) -> PricePath:
 
 
 def _setup_graph(config: ScenarioConfig) -> ChannelGraph:
-    graph = build_graph(config.graph_spec)
+    """Validate ``config`` and deploy the sleeve on the graph that built."""
+    graph = config._validated_graph()
     sleeve_msat = config.treasury.sleeve_sats * MSAT_PER_SAT
     if sleeve_msat > 0:
         peers = config.sleeve_peers
@@ -603,10 +609,9 @@ class _MerchantTally:
 
 def run_path(config: ScenarioConfig, path_index: int) -> PathResult:
     """Run one simulation path; deterministic in (config, seed, index)."""
-    config.validate()
+    graph = _setup_graph(config)
     tcfg = config.treasury
     path = _price_path(config, path_index)
-    graph = _setup_graph(config)
     merchants = list(config.merchants)
     merchant_nodes = {m.id for m in config.merchants}
     payer_pool = sorted(graph.nodes - {graph.hub} - merchant_nodes) or [graph.hub]

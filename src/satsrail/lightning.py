@@ -15,9 +15,9 @@ on execution; callers may retry with the failed direction excluded.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -120,14 +120,77 @@ class Channel:
             raise AssertionError(f"channel {self.id}: balance out of range")
 
 
+@dataclass(frozen=True)
+class _RouteIndex:
+    """Integer-indexed snapshot of the open topology, read by route search.
+
+    Node and channel ranks follow the sorted string ids, so comparing ranks
+    compares ids. ``incoming[v]`` lists every open channel direction into
+    node ``v`` as ``(prev, channel, capacity, base fee, ppm)``: the policy is
+    the one ``prev`` charges for forwarding into that channel. Each list is
+    sorted by base fee, then channel, so a search can stop scanning once the
+    base fee alone exceeds its bound. Balances are not indexed; the router
+    never reads them.
+    """
+
+    nodes: tuple[str, ...]
+    node_rank: dict[str, int]
+    channel_ids: tuple[str, ...]
+    channel_rank: dict[str, int]
+    incoming: tuple[tuple[tuple[int, int, int, int, int], ...], ...]
+
+    @classmethod
+    def of(cls, graph: "ChannelGraph") -> "_RouteIndex":
+        nodes = tuple(sorted(graph.nodes))
+        node_rank = {n: i for i, n in enumerate(nodes)}
+        open_channels = sorted(
+            (ch for ch in graph.channels.values() if ch.open), key=lambda ch: ch.id
+        )
+        incoming: list[list] = [[] for _ in nodes]
+        for c, ch in enumerate(open_channels):
+            a, b = node_rank[ch.node_a], node_rank[ch.node_b]
+            cap, ab, ba = ch.capacity_msat, ch.policy_ab, ch.policy_ba
+            incoming[b].append((a, c, cap, ab.base_fee_msat, ab.proportional_millionths))
+            incoming[a].append((b, c, cap, ba.base_fee_msat, ba.proportional_millionths))
+        return cls(
+            nodes=nodes,
+            node_rank=node_rank,
+            channel_ids=tuple(ch.id for ch in open_channels),
+            channel_rank={ch.id: c for c, ch in enumerate(open_channels)},
+            incoming=tuple(
+                tuple(sorted(dirs, key=lambda d: (d[3], d[1]))) for dirs in incoming
+            ),
+        )
+
+    def directions(self, pairs: Iterable[tuple[str, str]]) -> set[tuple[int, int]]:
+        """Ranks of the open ``(channel_id, sending_node)`` directions in ``pairs``."""
+        out = set()
+        for channel_id, node in pairs:
+            c = self.channel_rank.get(channel_id)
+            v = self.node_rank.get(node)
+            if c is not None and v is not None:
+                out.add((c, v))
+        return out
+
+
 @dataclass
 class ChannelGraph:
-    """Nodes plus channels, with one designated hub (the treasury's node)."""
+    """Nodes plus channels, with one designated hub (the treasury's node).
+
+    Route search reads a cached :class:`_RouteIndex`, built at the first
+    search after a topology change. ``add_node``, ``add_channel`` and
+    ``close_channel`` are the only methods that change topology, and each
+    drops the cache; change nodes, channels, capacities or policies through
+    them only. Balance moves (``Channel.shift``) need no invalidation.
+    """
 
     nodes: set[str]
     hub: str
     channels: dict[str, Channel] = field(default_factory=dict)
     _adjacency: dict[str, list[str]] = field(default_factory=dict, repr=False)
+    _route_index: _RouteIndex | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.hub not in self.nodes:
@@ -147,17 +210,26 @@ class ChannelGraph:
         if node not in self.nodes:
             self.nodes.add(node)
             self._adjacency[node] = []
+            self._route_index = None
 
     def add_channel(self, ch: Channel) -> None:
         if ch.id in self.channels:
             raise ValueError(f"duplicate channel id {ch.id!r}")
         self.channels[ch.id] = ch
         self._register(ch)
+        self._route_index = None
 
     def close_channel(self, channel_id: str) -> Channel:
         ch = self.channels[channel_id]
         ch.open = False
+        self._route_index = None
         return ch
+
+    def route_index(self) -> _RouteIndex:
+        """The route-search view of the current topology."""
+        if self._route_index is None:
+            self._route_index = _RouteIndex.of(self)
+        return self._route_index
 
     def adjacent(self, node: str) -> Iterator[Channel]:
         """Open channels with ``node`` as an endpoint, insertion order."""
@@ -182,9 +254,6 @@ class ChannelGraph:
     def node_balance_msat(self, node: str) -> int:
         """Total local balance ``node`` holds across its open channels."""
         return sum(ch.balance_from(node) for ch in self.adjacent(node))
-
-    def clone(self) -> "ChannelGraph":
-        return copy.deepcopy(self)
 
 
 @dataclass(frozen=True)
@@ -312,64 +381,104 @@ def load_graph_file(path) -> ChannelGraph:
 # --------------------------------------------------------------------------
 
 
-def _settle_continuations(
-    graph: ChannelGraph,
-    seeds: list[tuple],
-    sender: str,
-    excluded_dirs: frozenset[tuple[str, str]],
-    excluded_channels: frozenset[str],
-    banned: frozenset[str],
-) -> dict[str, tuple]:
-    """Backward Dijkstra from the receiver.
+def _backward_search(
+    index: _RouteIndex,
+    start: tuple[int, int, int, int],
+    sender: int,
+    exits: dict[int, list[tuple[int, int]]],
+    skip: set[tuple[int, int]],
+) -> tuple[list, tuple[int, int, int] | None]:
+    """Bounded backward Dijkstra from the receiver towards ``sender``.
 
-    Settles, for every reachable node v (except the sender and banned
-    nodes), the minimal amount R(v) that must enter v for the receiver to
-    get the target amount, v's own forwarding fee included. Ties on R break
-    lexicographically on the forward continuation (node path, then channel
-    ids), which makes the final route the lexicographically smallest among
-    minimum-fee routes.
+    Heap entries are ``(R, node, next node, channel)``: R is the amount that
+    must enter ``node`` for the receiver to get its amount, ``node``'s own
+    forwarding fee included, when ``node`` forwards over ``channel`` to
+    ``next node``. ``start`` is the first entry. Entries pop in tuple order,
+    ranks standing for ids, and the first entry popped for a node settles
+    it, so each node keeps the continuation of its first-popped entry. A
+    direction is usable when its capacity covers the amount entering it and
+    ``(channel, prev)`` is not in ``skip``; the sender is never entered.
 
-    Heap entries: (R, cont_nodes, cont_hops, cont_amounts) where cont_* are
-    the forward continuation from the entry's node to the receiver.
+    ``exits`` maps each neighbour the sender may pay into to its usable
+    ``(channel, capacity)`` directions. The best exit is the smallest
+    ``(R, neighbour, channel)`` whose capacity covers R. Once one is settled
+    its R bounds the search: costlier pushes are skipped, and the search
+    stops when the cheapest entry left costs more, or when every exit is
+    settled. Entries of equal cost are still pushed and popped, so the
+    bound changes no settled node that could still become the best exit or
+    lie on its route.
+
+    Returns ``(settled, best)``: the settled entry per node rank (None when
+    unsettled) and the best exit, or None.
     """
-    settled: dict[str, tuple] = {}
-    heap = list(seeds)
-    heapq.heapify(heap)
+    incoming = index.incoming
+    settled: list = [None] * len(index.nodes)
+    settled[sender] = start  # a marker: the sender is never entered
+    heap = [start]
+    bound = math.inf
+    best = None
+    pending = len(exits)
     while heap:
-        required, cont_nodes, cont_hops, cont_amounts = heapq.heappop(heap)
-        node = cont_nodes[0]
-        if node in settled:
+        entry = heapq.heappop(heap)
+        required, node = entry[0], entry[1]
+        if settled[node] is not None:
             continue
-        settled[node] = (required, cont_nodes, cont_hops, cont_amounts)
-        for ch in graph.adjacent(node):
-            prev = ch.other(node)
-            if prev == sender or prev in banned or prev in settled:
+        if required > bound:
+            break
+        settled[node] = entry
+        usable = exits.get(node)
+        if usable is not None:
+            fits = [channel for channel, capacity in usable if capacity >= required]
+            if fits:
+                candidate = (required, node, min(fits))
+                if best is None or candidate < best:
+                    best, bound = candidate, required
+            pending -= 1
+            if not pending:
+                break
+        for prev, channel, capacity, base, ppm in incoming[node]:
+            cost = required + base
+            if cost > bound:
+                break  # the rest charge at least this base fee
+            if capacity < required or settled[prev] is not None:
                 continue
-            if ch.id in excluded_channels or (ch.id, prev) in excluded_dirs:
+            if skip and (channel, prev) in skip:
                 continue
-            if ch.capacity_msat < required:
-                continue
-            fee = hop_fee(ch.policy_from(prev), required)
-            heapq.heappush(
-                heap,
-                (
-                    required + fee,
-                    (prev,) + cont_nodes,
-                    ((ch.id, prev, node),) + cont_hops,
-                    (required,) + cont_amounts,
-                ),
-            )
-    return settled
+            cost += required * ppm // 1_000_000
+            if cost <= bound:
+                heapq.heappush(heap, (cost, prev, node, channel))
+    return settled, best
 
 
-def _assemble_route(hops_raw: tuple, amounts: tuple[int, ...]) -> Route:
-    hops = tuple(Hop(cid, frm, to) for cid, frm, to in hops_raw)
-    fees = [0] + [amounts[i - 1] - amounts[i] for i in range(1, len(amounts))]
+def _trace_route(
+    index: _RouteIndex,
+    settled: list,
+    sender: int,
+    first: int,
+    channel: int,
+    receiver: int,
+    amount_msat: int,
+) -> Route:
+    """The route ``sender`` -> ``first`` over ``channel``, then along the
+    settled entries' next nodes to ``receiver``, which gets ``amount_msat``.
+    """
+    path, channels = [sender, first], [channel]
+    while path[-1] != receiver:
+        _, _, nxt, via = settled[path[-1]]
+        path.append(nxt)
+        channels.append(via)
+    names, ids = index.nodes, index.channel_ids
+    hops = tuple(
+        Hop(ids[c], names[frm], names[to])
+        for c, frm, to in zip(channels, path, path[1:])
+    )
+    amounts = tuple(settled[v][0] for v in path[1:-1]) + (amount_msat,)
+    fees = (0,) + tuple(amounts[i - 1] - amounts[i] for i in range(1, len(amounts)))
     return Route(
         hops=hops,
-        amounts_msat=tuple(amounts),
-        fees_msat=tuple(fees),
-        total_fee_msat=amounts[0] - amounts[-1],
+        amounts_msat=amounts,
+        fees_msat=fees,
+        total_fee_msat=amounts[0] - amount_msat,
     )
 
 
@@ -388,6 +497,14 @@ def find_route(
     when nothing is feasible and :class:`FeeCapExceededError` when every
     feasible route costs more than ``max_fee_msat``. ``excluded`` holds
     (channel_id, sending_node) directions to skip, for retry loops.
+
+    Among minimum-fee routes the choice is fixed by the search's pop order
+    ``(R, node, next node, channel)`` (see :func:`_backward_search`): the
+    sender pays into the smallest ``(R, neighbour id, channel id)``, and
+    each node forwards along the continuation it settled with. When every
+    hop costs at least 1 msat this is the lexicographically smallest route
+    (node path, then channel ids); zero-fee hops can settle a node before a
+    lexicographically smaller continuation of equal cost is found.
     """
     if src == dst:
         raise ValueError("src and dst must differ")
@@ -395,46 +512,25 @@ def find_route(
         raise ValueError("src and dst must be graph nodes")
     if amount_msat <= 0:
         raise ValueError("amount must be positive")
-    excluded_dirs = frozenset(excluded)
-    settled = _settle_continuations(
-        graph,
-        seeds=[(amount_msat, (dst,), (), ())],
-        sender=src,
-        excluded_dirs=excluded_dirs,
-        excluded_channels=frozenset(),
-        banned=frozenset(),
+    index = graph.route_index()
+    sender, receiver = index.node_rank[src], index.node_rank[dst]
+    skip = index.directions(excluded)
+    exits: dict[int, list[tuple[int, int]]] = {}
+    for nxt, channel, capacity, _, _ in index.incoming[sender]:
+        if (channel, sender) not in skip:
+            exits.setdefault(nxt, []).append((channel, capacity))
+    settled, best = _backward_search(
+        index, (amount_msat, receiver, -1, -1), sender, exits, skip
     )
-    best_key = None
-    best = None
-    for ch in graph.adjacent(src):
-        nxt = ch.other(src)
-        if (ch.id, src) in excluded_dirs:
-            continue
-        entry = settled.get(nxt)
-        if entry is None:
-            continue
-        required, cont_nodes, cont_hops, cont_amounts = entry
-        if ch.capacity_msat < required:
-            continue
-        key = (
-            required,
-            (src,) + cont_nodes,
-            ((ch.id, src, nxt),) + cont_hops,
-        )
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (required, cont_hops, cont_amounts, ch, nxt)
     if best is None:
         raise NoRouteError(f"no feasible route {src} -> {dst} for {amount_msat} msat")
-    required, cont_hops, cont_amounts, first_ch, first_next = best
+    required, first, channel = best
     total_fee = required - amount_msat
     if max_fee_msat is not None and total_fee > max_fee_msat:
         raise FeeCapExceededError(
             f"cheapest route costs {total_fee} msat, cap is {max_fee_msat}"
         )
-    hops = ((first_ch.id, src, first_next),) + cont_hops
-    amounts = (required,) + cont_amounts
-    return _assemble_route(hops, amounts)
+    return _trace_route(index, settled, sender, first, channel, receiver, amount_msat)
 
 
 def execute_payment(
@@ -622,35 +718,32 @@ def rebalance(
     peer_in = dst_ch.other(hub)
     if dst_ch.capacity_msat < amount_msat:
         raise NoRouteError("receiving channel capacity below amount")
-    fee_last = hop_fee(dst_ch.policy_from(peer_in), amount_msat)
-    seed = (
-        amount_msat + fee_last,
-        (peer_in, hub),
-        ((dst_ch.id, peer_in, hub),),
-        (amount_msat,),
+    index = graph.route_index()
+    sender = index.node_rank[hub]
+    out_rank, in_rank = index.node_rank[peer_out], index.node_rank[peer_in]
+    start = (
+        amount_msat + hop_fee(dst_ch.policy_from(peer_in), amount_msat),
+        in_rank,
+        sender,
+        index.channel_rank[to_channel],
     )
-    settled = _settle_continuations(
-        graph,
-        seeds=[seed],
-        sender=hub,
-        excluded_dirs=frozenset(),
-        excluded_channels=frozenset({from_channel, to_channel}),
-        banned=frozenset({hub}),
-    )
-    entry = settled.get(peer_out)
-    if entry is None:
+    # Only the source channel leaves the hub. The search never enters the
+    # hub, so it cannot use either rebalance channel again.
+    exits = {out_rank: [(index.channel_rank[from_channel], src_ch.capacity_msat)]}
+    settled, best = _backward_search(index, start, sender, exits, set())
+    if settled[out_rank] is None:
         raise NoRouteError(f"no circular route {from_channel} -> {to_channel}")
-    required, cont_nodes, cont_hops, cont_amounts = entry
-    if src_ch.capacity_msat < required:
+    if best is None:
         raise NoRouteError("source channel capacity below required amount")
+    required, _, channel = best
     total_fee = required - amount_msat
     if max_fee_msat is not None and total_fee > max_fee_msat:
         raise FeeCapExceededError(
             f"rebalance costs {total_fee} msat, cap is {max_fee_msat}"
         )
-    hops = ((src_ch.id, hub, peer_out),) + cont_hops
-    amounts = (required,) + cont_amounts
-    route = _assemble_route(hops, amounts)
+    route = _trace_route(
+        index, settled, sender, out_rank, channel, sender, amount_msat
+    )
     payment = execute_payment(graph, route, amount_msat)
     return RebalanceResult(
         cost_msat=total_fee,

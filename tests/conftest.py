@@ -95,8 +95,24 @@ def triangle_graph() -> ChannelGraph:
     return build_graph(triangle_spec())
 
 
-def random_graph_spec(rng: random.Random, max_nodes: int = 8) -> dict:
-    """Random multigraph spec for oracle comparisons."""
+def random_graph_spec(
+    rng: random.Random, max_nodes: int = 8, zero_fee_share: float | None = None
+) -> dict:
+    """Random multigraph spec for oracle comparisons.
+
+    By default a direction's base fee and ppm are drawn from 0 up. With
+    ``zero_fee_share`` set, each direction is free (base 0, ppm 0) with that
+    probability and otherwise charges a base fee of at least 1 msat; so at
+    ``zero_fee_share=0.0`` every hop costs at least 1 msat.
+    """
+
+    def policy() -> dict:
+        if zero_fee_share is None:
+            return {"base_msat": rng.randrange(0, 2_000), "ppm": rng.randrange(0, 5_000)}
+        if rng.random() < zero_fee_share:
+            return {"base_msat": 0, "ppm": 0}
+        return {"base_msat": rng.randrange(1, 2_000), "ppm": rng.randrange(0, 5_000)}
+
     n = rng.randint(2, max_nodes)
     nodes = [f"n{i}" for i in range(n)]
     channels = []
@@ -115,57 +131,94 @@ def random_graph_spec(rng: random.Random, max_nodes: int = 8) -> dict:
                         "b": nodes[j],
                         "capacity_msat": capacity,
                         "balance_a_msat": rng.randrange(0, capacity + 1),
-                        "policy_ab": {
-                            "base_msat": rng.randrange(0, 2_000),
-                            "ppm": rng.randrange(0, 5_000),
-                        },
-                        "policy_ba": {
-                            "base_msat": rng.randrange(0, 2_000),
-                            "ppm": rng.randrange(0, 5_000),
-                        },
+                        "policy_ab": policy(),
+                        "policy_ba": policy(),
                     }
                 )
                 cid += 1
     return {"nodes": nodes, "hub": nodes[0], "channels": channels}
 
 
-def brute_force_route(graph: ChannelGraph, src: str, dst: str, amount_msat: int):
-    """Exhaustive simple-path enumeration oracle.
+def _route_fee(hops, amount_msat: int):
+    """Total fee of ``hops`` [(channel, from, to), ...] delivering
+    ``amount_msat``, or None when some channel's capacity is too small.
+    Backward fee math, independent of the router."""
+    required = amount_msat
+    for i in range(len(hops) - 1, -1, -1):
+        ch, frm, _to = hops[i]
+        if ch.capacity_msat < required:
+            return None
+        if i > 0:
+            required += hop_fee(ch.policy_from(frm), required)
+    return required - amount_msat
 
-    Returns (total_fee, node_path, channel_ids) for the cheapest feasible
-    route under the same tie-break (fee, then node path, then channel ids),
-    or None when nothing is feasible. Kept deliberately independent of the
-    router: forward DFS over channels, then per-path backward fee math.
-    """
-    best = None
 
-    def evaluate(hops):
-        nonlocal best
-        required = amount_msat
-        amounts = [0] * len(hops)
-        for i in range(len(hops) - 1, -1, -1):
-            ch, frm, _to = hops[i]
-            amounts[i] = required
-            if ch.capacity_msat < required:
-                return
-            if i > 0:
-                required += hop_fee(ch.policy_from(frm), required)
-        total_fee = amounts[0] - amount_msat
-        node_path = (src,) + tuple(h[2] for h in hops)
-        channel_ids = tuple(h[0].id for h in hops)
-        key = (total_fee, node_path, channel_ids)
-        if best is None or key < best:
-            best = key
+def _simple_paths(graph: ChannelGraph, src: str, dst: str, avoid):
+    """Every simple path src -> dst as [(channel, from, to), ...], by forward
+    DFS over open channels, skipping directions for which ``avoid`` holds."""
 
     def dfs(node, visited, hops):
         if node == dst:
-            evaluate(hops)
+            yield hops
             return
         for ch in graph.adjacent(node):
             nxt = ch.other(node)
-            if nxt in visited:
+            if nxt in visited or avoid(ch, node):
                 continue
-            dfs(nxt, visited | {nxt}, hops + [(ch, node, nxt)])
+            yield from dfs(nxt, visited | {nxt}, hops + [(ch, node, nxt)])
 
-    dfs(src, {src}, [])
+    yield from dfs(src, {src}, [])
+
+
+def brute_force_route(
+    graph: ChannelGraph, src: str, dst: str, amount_msat: int, excluded=()
+):
+    """Exhaustive simple-path enumeration oracle.
+
+    Returns (total_fee, node_path, channel_ids) for the cheapest feasible
+    route, ties broken on node path then channel ids, or None when nothing
+    is feasible. ``excluded`` holds (channel_id, sending_node) directions
+    to skip. The fee always equals the router's. The router's route is this
+    lexicographically smallest one only when every hop costs at least 1 msat:
+    it breaks ties by its search's pop order (see ``find_route``). Kept
+    deliberately independent of the router: forward DFS over channels, then
+    per-path backward fee math.
+    """
+    excluded = set(excluded)
+    best = None
+    for hops in _simple_paths(
+        graph, src, dst, lambda ch, frm: (ch.id, frm) in excluded
+    ):
+        fee = _route_fee(hops, amount_msat)
+        if fee is None:
+            continue
+        node_path = (src,) + tuple(h[2] for h in hops)
+        key = (fee, node_path, tuple(h[0].id for h in hops))
+        if best is None or key < best:
+            best = key
     return best
+
+
+def brute_force_rebalance(
+    graph: ChannelGraph, from_channel: str, to_channel: str, amount_msat: int
+):
+    """Cheapest circular hub route out over ``from_channel`` and back over
+    ``to_channel``, by exhaustive enumeration: the fee, or None when no
+    route is feasible. The middle of the circle avoids the hub and both
+    rebalance channels."""
+    hub = graph.hub
+    out_ch, in_ch = graph.channels[from_channel], graph.channels[to_channel]
+    peer_out, peer_in = out_ch.other(hub), in_ch.other(hub)
+    fees = [
+        _route_fee(
+            [(out_ch, hub, peer_out), *middle, (in_ch, peer_in, hub)], amount_msat
+        )
+        for middle in _simple_paths(
+            graph,
+            peer_out,
+            peer_in,
+            lambda ch, frm: hub in (ch.node_a, ch.node_b),
+        )
+    ]
+    fees = [fee for fee in fees if fee is not None]
+    return min(fees) if fees else None

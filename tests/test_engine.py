@@ -17,6 +17,7 @@ from satsrail.engine import (
     write_report_csv,
     write_report_json,
 )
+from satsrail.lightning import build_graph
 from satsrail.rail import month_rail_cashflow
 from satsrail.treasury import no_forced_sale
 from satsrail.util import canonical_json
@@ -413,6 +414,32 @@ class TestReports:
         config = config_from_dict(rich_raw_config())
         report = run_scenario(config)
         assert report.survival_probability == report.surviving_paths / report.num_paths
+
+    def test_scenario_builds_one_graph_per_path_after_validating(self, monkeypatch):
+        from satsrail import engine
+
+        config = config_from_dict(rich_raw_config())
+        builds = []
+
+        def counting_build_graph(spec):
+            builds.append(spec)
+            return build_graph(spec)
+
+        monkeypatch.setattr(engine, "build_graph", counting_build_graph)
+        report = run_scenario(config)
+        assert len(builds) == 1 + report.num_paths
+        builds.clear()
+        run_path(config, 0)
+        assert len(builds) == 1  # validation's graph is the one the path runs on
+
+    def test_run_path_rejects_an_invalid_config(self):
+        config = dataclasses.replace(
+            config_from_dict(rich_raw_config()), start_price_cents=0
+        )
+        with pytest.raises(ConfigError, match="start_price_cents"):
+            run_path(config, 0)
+        with pytest.raises(ConfigError, match="start_price_cents"):
+            run_scenario(config)
 
     def test_single_path_report_wraps_run_path(self):
         raw = rich_raw_config(

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_force_rebalance,
     brute_force_route,
     chain_spec,
     graph_state,
@@ -35,6 +36,26 @@ from satsrail.lightning import (
     send_payment,
     shrink_sleeve,
 )
+
+
+def free_graph(*nodes: str, edges: list[str]):
+    """Graph on single-letter ``nodes`` whose channels charge no fee; edge
+    "ab" joins A and B."""
+
+    def chan(edge):
+        return {
+            "id": edge,
+            "a": edge[0].upper(),
+            "b": edge[1].upper(),
+            "capacity_msat": 1_000_000,
+            "balance_a_msat": 500_000,
+            "policy_ab": {"base_msat": 0, "ppm": 0},
+            "policy_ba": {"base_msat": 0, "ppm": 0},
+        }
+
+    return build_graph(
+        {"nodes": list(nodes), "hub": nodes[0], "channels": [chan(e) for e in edges]}
+    )
 
 
 class TestHopFee:
@@ -217,6 +238,24 @@ class TestFindRoute:
         route = find_route(g, "A", "B", 5_000)
         assert route.hops[0].channel_id == "a9"
 
+    def test_zero_fee_tie_break_follows_pop_order(self):
+        # All hops free: A-B-D and A-B-C-D both cost 0. The oracle's
+        # lexicographic choice is A-B-C-D, but the search settles B from D
+        # (B pops before C at equal cost), so the route is A-B-D.
+        g = free_graph("A", "B", "C", "D", edges=["ab", "bc", "bd", "cd"])
+        assert brute_force_route(g, "A", "D", 1_000)[1] == ("A", "B", "C", "D")
+        route = find_route(g, "A", "D", 1_000)
+        assert [h.to_node for h in route.hops] == ["B", "D"]
+
+    def test_equal_cost_exit_found_after_the_bound(self):
+        # All hops free. C settles first as the sender's exit (C-D), which
+        # sets the bound; B is reached at the same cost only later, via E,
+        # and must still win: equal-cost entries are pushed and popped.
+        g = free_graph("A", "B", "C", "D", "E", edges=["ab", "ac", "be", "cd", "ed"])
+        route = find_route(g, "A", "D", 1_000)
+        assert [h.to_node for h in route.hops] == ["B", "E", "D"]
+        assert brute_force_route(g, "A", "D", 1_000)[1] == ("A", "B", "E", "D")
+
 
 class TestRoutingOracle:
     def test_matches_brute_force_on_random_graphs(self):
@@ -242,6 +281,106 @@ class TestRoutingOracle:
             assert got_channels == channel_ids
             checked += 1
         assert checked > 30  # plenty of feasible instances exercised
+
+    @staticmethod
+    def _random_exclusions(rng, g) -> set:
+        """Up to four (channel_id, sending_node) directions, closed ones too."""
+        channels = sorted(g.channels)
+        excluded = set()
+        for _ in range(rng.randrange(0, 5) if channels else 0):
+            ch = g.channels[rng.choice(channels)]
+            excluded.add((ch.id, rng.choice((ch.node_a, ch.node_b))))
+        return excluded
+
+    def test_exclusions_match_brute_force(self):
+        # Every hop costs >= 1 msat, so the router's route is the oracle's
+        # lexicographically smallest one.
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(200):
+            g = build_graph(random_graph_spec(rng, max_nodes=9, zero_fee_share=0.0))
+            src, dst = rng.sample(sorted(g.nodes), 2)
+            amount = rng.randrange(1, 1_500_000)
+            excluded = self._random_exclusions(rng, g)
+            expected = brute_force_route(g, src, dst, amount, excluded)
+            try:
+                route = find_route(g, src, dst, amount, excluded=excluded)
+            except NoRouteError:
+                assert expected is None
+                continue
+            fee, node_path, channel_ids = expected
+            assert route.total_fee_msat == fee
+            assert (src,) + tuple(h.to_node for h in route.hops) == node_path
+            assert tuple(h.channel_id for h in route.hops) == channel_ids
+            checked += 1
+        assert checked > 60
+
+    def test_zero_fee_hops_keep_the_minimum_fee(self):
+        # With free hops the router may pick another minimum-fee route than
+        # the oracle's lexicographically smallest one; the fee still agrees.
+        rng = random.Random(32)
+        checked = 0
+        for _ in range(200):
+            g = build_graph(random_graph_spec(rng, max_nodes=9, zero_fee_share=0.5))
+            src, dst = rng.sample(sorted(g.nodes), 2)
+            amount = rng.randrange(1, 1_500_000)
+            excluded = self._random_exclusions(rng, g)
+            expected = brute_force_route(g, src, dst, amount, excluded)
+            try:
+                route = find_route(g, src, dst, amount, excluded=excluded)
+            except NoRouteError:
+                assert expected is None
+                continue
+            assert route.total_fee_msat == expected[0]
+            assert not {(h.channel_id, h.from_node) for h in route.hops} & excluded
+            assert route.hops[0].from_node == src and route.hops[-1].to_node == dst
+            checked += 1
+        assert checked > 60
+
+
+class TestRouteIndexInvalidation:
+    """Each topology change is seen by the next search, after a cached one."""
+
+    def test_close_channel(self, triangle_graph):
+        assert [h.channel_id for h in find_route(triangle_graph, "hub", "Y", 1_000).hops] == ["yh"]
+        triangle_graph.close_channel("yh")
+        route = find_route(triangle_graph, "hub", "Y", 1_000)
+        assert [h.channel_id for h in route.hops] == ["hx", "xy"]
+
+    def test_add_channel(self, chain_graph):
+        assert len(find_route(chain_graph, "A", "C", 1_000).hops) == 2
+        chain_graph.add_channel(
+            Channel("ac", "A", "C", 1_000_000, 1_000_000, FeePolicy(), FeePolicy())
+        )
+        assert [h.channel_id for h in find_route(chain_graph, "A", "C", 1_000).hops] == ["ac"]
+
+    def test_add_node(self, chain_graph):
+        find_route(chain_graph, "A", "C", 1_000)
+        chain_graph.add_node("D")
+        with pytest.raises(NoRouteError):
+            find_route(chain_graph, "A", "D", 1_000)
+        chain_graph.add_channel(
+            Channel("cd", "C", "D", 1_000_000, 1_000_000, FeePolicy(), FeePolicy())
+        )
+        route = find_route(chain_graph, "A", "D", 1_000)
+        assert [h.to_node for h in route.hops] == ["B", "C", "D"]
+
+    def test_deploy_and_shrink_sleeve(self, chain_graph):
+        assert len(find_route(chain_graph, "A", "C", 1_000).hops) == 2
+        deploy_sleeve(chain_graph, 10_000_000, [("C", 1.0), ("E", 1.0)])
+        # The zero-fee sleeve channels are now the cheapest routes.
+        assert [h.channel_id for h in find_route(chain_graph, "A", "C", 1_000).hops] == [
+            "sleeve-C"
+        ]
+        assert [h.channel_id for h in find_route(chain_graph, "A", "E", 1_000).hops] == [
+            "sleeve-E"
+        ]
+        # Closes both 5e6 sleeve channels, smallest hub balance first, and
+        # keeps the 2e9 chain channel.
+        assert shrink_sleeve(chain_graph, 0.996) == 10_000_000
+        assert len(find_route(chain_graph, "A", "C", 1_000).hops) == 2
+        with pytest.raises(NoRouteError):
+            find_route(chain_graph, "A", "E", 1_000)
 
 
 class TestExecutePayment:
@@ -488,6 +627,45 @@ class TestRebalance:
             rebalance(triangle_graph, "xy", "yh", 1_000)  # xy not hub-adjacent
         with pytest.raises(ValueError):
             rebalance(triangle_graph, "hx", "yh", 4_000_000_000)  # above hub balance
+
+
+class TestRebalanceOracle:
+    @pytest.mark.parametrize("zero_fee_share", [0.0, 0.4])
+    def test_matches_brute_force_circular_routes(self, zero_fee_share):
+        rng = random.Random(41)
+        outcomes = {"settled": 0, "no_route": 0, "fee_cap": 0}
+        for _ in range(300):
+            g = build_graph(
+                random_graph_spec(rng, max_nodes=8, zero_fee_share=zero_fee_share)
+            )
+            hub_chs = sorted(ch.id for ch in g.hub_channels())
+            if len(hub_chs) < 2:
+                continue
+            out_id, in_id = rng.sample(hub_chs, 2)
+            hub_balance = g.channels[out_id].balance_from(g.hub)
+            if hub_balance == 0:
+                continue
+            amount = rng.randrange(1, hub_balance + 1)
+            cap = rng.choice((None, rng.randrange(0, 10_000)))
+            expected = brute_force_rebalance(g, out_id, in_id, amount)
+            before = graph_state(g)
+            if expected is None:
+                with pytest.raises(NoRouteError):
+                    rebalance(g, out_id, in_id, amount, max_fee_msat=cap)
+                assert graph_state(g) == before
+                outcomes["no_route"] += 1
+            elif cap is not None and expected > cap:
+                with pytest.raises(FeeCapExceededError):
+                    rebalance(g, out_id, in_id, amount, max_fee_msat=cap)
+                assert graph_state(g) == before
+                outcomes["fee_cap"] += 1
+            else:
+                result = rebalance(g, out_id, in_id, amount, max_fee_msat=cap)
+                assert result.cost_msat == expected
+                assert result.route.hops[0].channel_id == out_id
+                assert result.route.hops[-1].channel_id == in_id
+                outcomes["settled"] += 1
+        assert min(outcomes.values()) > 5, outcomes
 
 
 class TestEnrichmentProperty:
