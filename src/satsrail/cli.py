@@ -14,11 +14,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .engine import (
     ConfigError,
-    MonteCarloConfig,
     load_config_file,
     mean_finite_coverage,
     run_scenario,
@@ -162,65 +162,22 @@ def _run_and_report(config, args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = load_config_file(_resolve_config(args.config))
-    except FileNotFoundError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.paths is not None:
-        overrides["num_paths"] = args.paths
-    if overrides:
-        mc = config.monte_carlo
-        config = type(config)(
-            **{
-                **{f.name: getattr(config, f.name) for f in config.__dataclass_fields__.values()},
-                "monte_carlo": MonteCarloConfig(
-                    num_paths=overrides.get("num_paths", mc.num_paths),
-                    master_seed=overrides.get("master_seed", mc.master_seed),
-                ),
-            }
-        )
-    return _run_and_report(config, args)
+    config = load_config_file(_resolve_config(args.config))
+    overrides = {"master_seed": args.seed, "num_paths": args.paths}
+    monte_carlo = replace(
+        config.monte_carlo, **{k: v for k, v in overrides.items() if v is not None}
+    )
+    return _run_and_report(replace(config, monte_carlo=monte_carlo), args)
 
 
 def cmd_stress(args) -> int:
-    try:
-        config = load_config_file(_resolve_config(args.config))
-    except FileNotFoundError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
-    shape = StressShape(
-        kind=args.shape, total_drawdown=args.drawdown, horizon_months=args.months
+    config = load_config_file(_resolve_config(args.config))
+    config = replace(
+        config,
+        market=StressShape(args.shape, args.drawdown, args.months),
+        treasury=replace(config.treasury, horizon_months=args.months),
+        monte_carlo=replace(config.monte_carlo, num_paths=1),
     )
-    fields = {f.name: getattr(config, f.name) for f in config.__dataclass_fields__.values()}
-    fields["market"] = shape
-    fields["treasury"] = type(config.treasury)(
-        **{
-            **{
-                f.name: getattr(config.treasury, f.name)
-                for f in config.treasury.__dataclass_fields__.values()
-            },
-            "horizon_months": args.months,
-        }
-    )
-    fields["monte_carlo"] = MonteCarloConfig(
-        num_paths=1, master_seed=config.monte_carlo.master_seed
-    )
-    config = type(config)(**fields)
-    try:
-        config.validate()
-    except ConfigError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
     return _run_and_report(config, args)
 
 
@@ -322,7 +279,11 @@ def cmd_corr(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: invalid config: {exc}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

@@ -27,7 +27,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable
 
 from .lightning import (
     ChannelGraph,
@@ -50,7 +50,6 @@ from .rail import (
     apply_churn,
     gen_monthly_payments,
     hedge_settlement,
-    load_merchants,
     month_rail_cashflow,
     sats_back_outlay,
 )
@@ -223,65 +222,270 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         """Canonical JSON-shaped echo with every default made explicit."""
-        market: dict
-        if isinstance(self.market, GbmParams):
-            market = {
-                "model": "gbm",
-                "mu": self.market.mu,
-                "sigma": self.market.sigma,
-                "horizon_months": self.market.horizon_months,
-            }
-        else:
-            market = {
-                "model": "stress",
-                "kind": self.market.kind,
-                "total_drawdown": self.market.total_drawdown,
-                "horizon_months": self.market.horizon_months,
-            }
-        return {
-            "treasury": dataclasses.asdict(self.treasury),
-            "market": market,
-            "start_price_cents": self.start_price_cents,
-            "graph": self.graph_spec,
-            "merchants": [dataclasses.asdict(m) for m in self.merchants],
-            "rail": {
-                "median_ticket_cents": self.rail.tickets.median_ticket_cents,
-                "ticket_sigma": self.rail.tickets.ticket_sigma,
-                "min_ticket_cents": self.rail.tickets.min_ticket_cents,
-                "max_ticket_cents": self.rail.tickets.max_ticket_cents,
-                "spread_bps": self.rail.spread_bps,
-                "variable_cost_bps": self.rail.variable_cost_bps,
-                "base_churn": self.rail.base_churn,
-                "churn_sensitivity": self.rail.churn_sensitivity,
-                "max_route_retries": self.rail.max_route_retries,
-            },
-            "stress_trigger": dataclasses.asdict(self.stress_trigger),
-            "monte_carlo": dataclasses.asdict(self.monte_carlo),
-            "payment_cap_per_month": self.payment_cap_per_month,
-            "sleeve_peers": (
-                None
-                if self.sleeve_peers is None
-                else [[p, w] for p, w in self.sleeve_peers]
-            ),
-            "hub_fee_policy": {
-                "base_msat": self.hub_fee_policy.base_fee_msat,
-                "ppm": self.hub_fee_policy.proportional_millionths,
-            },
-            "peer_fee_policy": {
-                "base_msat": self.peer_fee_policy.base_fee_msat,
-                "ppm": self.peer_fee_policy.proportional_millionths,
-            },
-            "min_channel_msat": self.min_channel_msat,
-            "rebalance": dataclasses.asdict(self.rebalance_policy),
-            "var_sigma_monthly": self.var_sigma_monthly,
-        }
+        return _SCENARIO.echo(self)
 
 
-def _policy_from_dict(raw: dict, key: str) -> FeePolicy:
+# --------------------------------------------------------------------------
+# Config schema: one table parses the JSON shape and echoes it back
+# --------------------------------------------------------------------------
+
+_REQUIRED = object()
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string"}
+_JSON_TYPES.update({bool: "true or false", dict: "an object", list: "a list"})
+
+
+def _join(parent: str, name: str) -> str:
+    return f"{parent}.{name}" if parent else name
+
+
+def _scalar(kind: type, value, key: str):
+    """``value`` as ``kind``; ints pass as floats, integral numbers as ints."""
+    if kind is float and type(value) is int:
+        value = float(value)
+    elif kind is int and type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        shown = json.dumps(value, default=repr)[:60]
+        raise ConfigError(key, f"must be {_JSON_TYPES[kind]}, not {shown}")
+    return value
+
+
+def _read_json(path, key: str):
+    """Load a JSON file; an unreadable or malformed one is a ConfigError."""
     try:
-        return FeePolicy(int(raw.get("base_msat", 0)), int(raw.get("ppm", 0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(key, str(exc)) from None
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(key, f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ConfigError(key, f"not valid JSON: {exc}") from None
+
+
+@dataclass
+class _Ctx:
+    """One parse: the config's directory and the values parsed so far."""
+
+    base_dir: Path = Path(".")
+    parsed: dict = field(default_factory=dict)  # dotted key -> value
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One JSON key: the dataclass field it fills, its kind and its default.
+
+    ``kind`` is a JSON scalar type, ``dict`` or an object with ``parse`` and
+    ``echo``. ``default`` is JSON, parsed like a given value, or a function
+    of the values parsed so far; ``null`` passes only where it is None.
+    ``path_key`` names a sibling key that may give the value as a JSON file
+    relative to the config's directory. A nameless key is a section whose
+    keys sit in the enclosing object.
+    """
+
+    name: str | None
+    kind: object
+    default: object = _REQUIRED
+    field: str | None = None
+    path_key: str | None = None
+
+    def names(self) -> set[str]:
+        if self.name is None:
+            return self.kind.names()
+        return {self.name, self.path_key} - {None}
+
+    def read(self, raw: dict, parent: str, ctx: _Ctx):
+        if self.name is None:
+            return self.kind.build(raw, parent, ctx)
+        key = _join(parent, self.name)
+        if self.name in raw:
+            value = raw[self.name]
+        elif self.path_key in raw:
+            path_key = _join(parent, self.path_key)
+            path = ctx.base_dir / _scalar(str, raw[self.path_key], path_key)
+            value = _read_json(path, path_key)
+        elif self.default is _REQUIRED:
+            either = f" (or {self.path_key!r})" if self.path_key else ""
+            raise ConfigError(key, f"missing required value{either}")
+        else:
+            value = self.default(ctx.parsed) if callable(self.default) else self.default
+        if value is None and self.default is None:
+            parsed = None
+        elif isinstance(self.kind, type):
+            parsed = _scalar(self.kind, value, key)
+        else:
+            parsed = self.kind.parse(value, key, ctx)
+        ctx.parsed[key] = parsed
+        return parsed
+
+    def echo(self, value):
+        if value is None or isinstance(self.kind, type):
+            return value
+        return self.kind.echo(value)
+
+
+class _Section:
+    """A JSON object whose keys build one dataclass; other keys are errors."""
+
+    def __init__(self, cls: type, *keys: _Key):
+        self.cls, self.keys = cls, keys
+
+    def names(self) -> set[str]:
+        return set().union(*(k.names() for k in self.keys))
+
+    def parse(self, raw, key: str, ctx: _Ctx):
+        raw = _scalar(dict, raw, key or "config")
+        unknown = sorted(set(raw) - self.names())
+        if unknown:
+            raise ConfigError(_join(key, unknown[0]), "unknown key")
+        return self.build(raw, key, ctx)
+
+    def build(self, raw: dict, key: str, ctx: _Ctx):
+        kwargs = {k.field or k.name: k.read(raw, key, ctx) for k in self.keys}
+        try:
+            return self.cls(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(key, str(exc)) from None
+
+    def echo(self, obj) -> dict:
+        out = {}
+        for k in self.keys:
+            value = k.echo(getattr(obj, k.field or k.name))
+            if k.name is None:
+                out.update(value)
+            else:
+                out[k.name] = value
+        return out
+
+
+class _OneOf:
+    """A JSON object whose ``tag`` key names the section that parses it."""
+
+    def __init__(self, tag: str, **sections: _Section):
+        self.tag, self.sections = tag, sections
+
+    def parse(self, raw, key: str, ctx: _Ctx):
+        section = self.sections.get(_scalar(dict, raw, key).get(self.tag))
+        if section is None:
+            choices = " or ".join(map(repr, self.sections))
+            raise ConfigError(_join(key, self.tag), f"must be {choices}")
+        return section.parse({k: v for k, v in raw.items() if k != self.tag}, key, ctx)
+
+    def echo(self, obj) -> dict:
+        tag = next(t for t, s in self.sections.items() if isinstance(obj, s.cls))
+        return {self.tag: tag, **self.sections[tag].echo(obj)}
+
+
+@dataclass(frozen=True)
+class _Custom:
+    """A kind parsed by ``parse(raw, key, ctx)`` and echoed by ``echo``."""
+
+    parse: Callable
+    echo: Callable
+
+
+def _parse_peers(raw, key: str, ctx: _Ctx) -> tuple[tuple[str, float], ...]:
+    peers = []
+    for i, pair in enumerate(_scalar(list, raw, key)):
+        item = f"{key}[{i}]"
+        if len(_scalar(list, pair, item)) != 2:
+            raise ConfigError(item, "must be a [node, weight] pair")
+        peers.append((_scalar(str, pair[0], item), _scalar(float, pair[1], item)))
+    return tuple(peers)
+
+
+_FEE_POLICY = _Section(
+    FeePolicy,
+    _Key("base_msat", int, 0, "base_fee_msat"),
+    _Key("ppm", int, 0, "proportional_millionths"),
+)
+_MERCHANT = _Section(
+    Merchant,
+    _Key("id", str),
+    _Key("monthly_gmv_cents", int),
+    _Key("take_rate_bps", int),
+    _Key("settle_mode", str, "fiat"),
+    _Key("sats_back_bps", int, 0),
+    _Key("active", bool, True),
+)
+# A market's horizon defaults to the treasury's, which is parsed first.
+_HORIZON = _Key("horizon_months", int, lambda parsed: parsed["treasury.horizon_months"])
+_TREASURY = _Section(
+    TreasuryConfig,
+    _Key("btc_core_sats", int),
+    _Key("cash0_cents", int),
+    _Key("opex_monthly_cents", int),
+    _Key("horizon_months", int, 24),
+    _Key("interest_monthly_cents", int, 0),
+    _Key("capex_monthly_cents", int, 0),
+    _Key("sleeve_fraction", float, 0.03),
+    _Key("var_cap_fraction", float, 0.20),
+    _Key("var_confidence", float, 0.99),
+    _Key("cash_yield_apy", float, 0.0),
+    _Key("survival_mode", str, "pathwise"),
+)
+_MARKET = _OneOf(
+    "model",
+    gbm=_Section(
+        GbmParams, _Key("mu", float, 0.0), _Key("sigma", float, 0.0), _HORIZON
+    ),
+    stress=_Section(
+        StressShape,
+        _Key("kind", str, "linear"),
+        _Key("total_drawdown", float, 0.70),
+        _HORIZON,
+    ),
+)
+_TICKETS = _Section(  # its keys sit flat in "rail"
+    TicketParams,
+    _Key("median_ticket_cents", int, 5_000),
+    _Key("ticket_sigma", float, 0.8),
+    _Key("min_ticket_cents", int, 1),
+    _Key("max_ticket_cents", int, 10_000_000),
+)
+_RAIL = _Section(
+    RailEconomicsConfig,
+    _Key(None, _TICKETS, field="tickets"),
+    _Key("spread_bps", int, 5),
+    _Key("variable_cost_bps", int, 0),
+    _Key("base_churn", float, 0.0),
+    _Key("churn_sensitivity", float, 0.0),
+    _Key("max_route_retries", int, 3),
+)
+_TRIGGER = _Section(
+    StressTriggerConfig,
+    _Key("drawdown_threshold", float, 1.0),
+    _Key("shrink_target", float, 1.0),
+)
+_MONTE_CARLO = _Section(
+    MonteCarloConfig, _Key("num_paths", int, 1), _Key("master_seed", int, 0)
+)
+_REBALANCE = _Section(
+    RebalancePolicyConfig,
+    _Key("low_watermark", float, 0.0),
+    _Key("max_fee_bps", int, 50),
+)
+_ROSTER = _Custom(
+    lambda raw, key, ctx: load_merchants(raw, key),
+    lambda merchants: [_MERCHANT.echo(m) for m in merchants],
+)
+_PEERS = _Custom(_parse_peers, lambda peers: [list(p) for p in peers])
+_SCENARIO = _Section(
+    ScenarioConfig,
+    _Key("treasury", _TREASURY),
+    _Key("market", _MARKET),
+    _Key("start_price_cents", int),
+    _Key("graph", dict, field="graph_spec", path_key="graph_path"),
+    _Key("merchants", _ROSTER, [], path_key="merchants_path"),
+    _Key("rail", _RAIL, {}),
+    _Key("stress_trigger", _TRIGGER, {}),
+    _Key("monte_carlo", _MONTE_CARLO, {}),
+    _Key("payment_cap_per_month", int, 500),
+    _Key("sleeve_peers", _PEERS, None),
+    _Key("hub_fee_policy", _FEE_POLICY, {}),
+    _Key("peer_fee_policy", _FEE_POLICY, {}),
+    _Key("min_channel_msat", int, 1_000),
+    _Key("rebalance", _REBALANCE, {}, field="rebalance_policy"),
+    _Key("var_sigma_monthly", float, None),
+)
 
 
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:
@@ -289,156 +493,22 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:
 
     ``graph``/``merchants`` may be inline or referenced by ``graph_path``/
     ``merchants_path`` relative to ``base_dir`` (the config file's
-    directory).
+    directory). An unknown key, a wrong JSON type or a non-integral number
+    for an integer is a ``ConfigError`` naming the dotted key.
     """
-    base = Path(base_dir) if base_dir is not None else Path(".")
-
-    def section(key: str, required: bool = True) -> dict:
-        value = raw.get(key)
-        if value is None:
-            if required:
-                raise ConfigError(key, "missing required section")
-            return {}
-        if not isinstance(value, dict):
-            raise ConfigError(key, "must be an object")
-        return value
-
-    def build(key: str, factory, kwargs: dict):
-        try:
-            return factory(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(key, str(exc)) from None
-
-    tre_raw = section("treasury")
-    treasury = build("treasury", TreasuryConfig, tre_raw)
-
-    market_raw = section("market")
-    model = market_raw.get("model")
-    horizon = int(market_raw.get("horizon_months", treasury.horizon_months))
-    if model == "gbm":
-        market = build(
-            "market",
-            GbmParams,
-            {
-                "mu": float(market_raw.get("mu", 0.0)),
-                "sigma": float(market_raw.get("sigma", 0.0)),
-                "horizon_months": horizon,
-            },
-        )
-    elif model == "stress":
-        market = build(
-            "market",
-            StressShape,
-            {
-                "kind": market_raw.get("kind", "linear"),
-                "total_drawdown": float(market_raw.get("total_drawdown", 0.70)),
-                "horizon_months": horizon,
-            },
-        )
-    else:
-        raise ConfigError("market.model", "must be 'gbm' or 'stress'")
-
-    if "start_price_cents" not in raw:
-        raise ConfigError("start_price_cents", "missing required value")
-
-    if "graph" in raw:
-        graph_spec = raw["graph"]
-    elif "graph_path" in raw:
-        with open(base / raw["graph_path"], "r", encoding="utf-8") as fh:
-            graph_spec = json.load(fh)
-    else:
-        raise ConfigError("graph", "provide 'graph' inline or 'graph_path'")
-
-    if "merchants" in raw:
-        merchants_raw = raw["merchants"]
-    elif "merchants_path" in raw:
-        with open(base / raw["merchants_path"], "r", encoding="utf-8") as fh:
-            merchants_raw = json.load(fh)
-    else:
-        merchants_raw = []
-    try:
-        merchants = tuple(load_merchants(merchants_raw))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("merchants", str(exc)) from None
-
-    rail_raw = section("rail", required=False)
-    tickets = build(
-        "rail",
-        TicketParams,
-        {
-            k: rail_raw[k]
-            for k in (
-                "median_ticket_cents",
-                "ticket_sigma",
-                "min_ticket_cents",
-                "max_ticket_cents",
-            )
-            if k in rail_raw
-        },
-    )
-    rail = build(
-        "rail",
-        RailEconomicsConfig,
-        {
-            "tickets": tickets,
-            **{
-                k: rail_raw[k]
-                for k in (
-                    "spread_bps",
-                    "variable_cost_bps",
-                    "base_churn",
-                    "churn_sensitivity",
-                    "max_route_retries",
-                )
-                if k in rail_raw
-            },
-        },
-    )
-
-    trigger = build("stress_trigger", StressTriggerConfig, section("stress_trigger", False))
-    monte = build("monte_carlo", MonteCarloConfig, section("monte_carlo", False))
-    rebal = build("rebalance", RebalancePolicyConfig, section("rebalance", False))
-
-    peers_raw = raw.get("sleeve_peers")
-    peers = (
-        None
-        if peers_raw is None
-        else tuple((str(p), float(w)) for p, w in peers_raw)
-    )
-
-    config = ScenarioConfig(
-        treasury=treasury,
-        market=market,
-        start_price_cents=int(raw["start_price_cents"]),
-        graph_spec=graph_spec,
-        merchants=merchants,
-        rail=rail,
-        stress_trigger=trigger,
-        monte_carlo=monte,
-        payment_cap_per_month=int(raw.get("payment_cap_per_month", 500)),
-        sleeve_peers=peers,
-        hub_fee_policy=_policy_from_dict(
-            raw.get("hub_fee_policy", {}), "hub_fee_policy"
-        ),
-        peer_fee_policy=_policy_from_dict(
-            raw.get("peer_fee_policy", {}), "peer_fee_policy"
-        ),
-        min_channel_msat=int(raw.get("min_channel_msat", 1_000)),
-        rebalance_policy=rebal,
-        var_sigma_monthly=(
-            None
-            if raw.get("var_sigma_monthly") is None
-            else float(raw["var_sigma_monthly"])
-        ),
-    )
+    config = _SCENARIO.parse(raw, "", _Ctx(Path(base_dir or ".")))
     config.validate()
     return config
 
 
+def load_merchants(raw, key: str) -> tuple[Merchant, ...]:
+    """Parse a merchant roster; every entry must match the merchant schema."""
+    merchants = enumerate(_scalar(list, raw, key))
+    return tuple(_MERCHANT.parse(m, f"{key}[{i}]", _Ctx()) for i, m in merchants)
+
+
 def load_config_file(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return config_from_dict(raw, base_dir=Path(path).parent)
+    return config_from_dict(_read_json(path, str(path)), base_dir=Path(path).parent)
 
 
 # --------------------------------------------------------------------------
@@ -727,6 +797,7 @@ def run_path(config: ScenarioConfig, path_index: int) -> PathResult:
             sensitivity=config.rail.churn_sensitivity,
         )
 
+        rebal_volume_cents = msat_to_cents(rebal_volume_msat, price)
         sleeve_msat = graph.node_balance_msat(graph.hub)
         state = replace(state, sleeve_deployed_msat=sleeve_msat)
         var_cents = sleeve_var(
@@ -746,12 +817,9 @@ def run_path(config: ScenarioConfig, path_index: int) -> PathResult:
                 sampled_tx=sum(plan.sampled.values()),
                 rail=record,
                 kpi=kpi_month(
-                    record,
-                    msat_to_cents(rebal_volume_msat, price),
-                    tcfg.opex_monthly_cents,
-                    churn_rate,
+                    record, rebal_volume_cents, tcfg.opex_monthly_cents, churn_rate
                 ),
-                rebal_volume_cents=msat_to_cents(rebal_volume_msat, price),
+                rebal_volume_cents=rebal_volume_cents,
                 yield_cents=earned,
                 cash_cents=state.cash_cents,
                 sleeve_deployed_msat=sleeve_msat,
@@ -762,7 +830,19 @@ def run_path(config: ScenarioConfig, path_index: int) -> PathResult:
     verdict = no_forced_sale(
         tcfg.cash0_cents, inflow_series, outflow_series, tcfg.survival_mode
     )
+    # The path's KPIs: one month's formula on the months' column sums (the
+    # summed month number is dropped) and the roster's churn over the path.
+    columns = zip(*(dataclasses.astuple(m.rail) for m in months))
     active_end = sum(1 for m in merchants if m.active)
+    aggregate = dataclasses.asdict(
+        kpi_month(
+            RailMonthRecord(*map(sum, columns)),
+            sum(m.rebal_volume_cents for m in months),
+            tcfg.opex_monthly_cents * len(months),
+            (active0 - active_end) / active0 if active0 else 0.0,
+        )
+    )
+    del aggregate["month"]
     return PathResult(
         path_index=path_index,
         survives=verdict.survives,
@@ -771,37 +851,8 @@ def run_path(config: ScenarioConfig, path_index: int) -> PathResult:
         terminal_cash_cents=verdict.terminal_cash_cents,
         required_sale_sats=state.required_sale_sats,
         months=tuple(months),
-        kpi_aggregate=_aggregate_kpis(months, active0, active_end, tcfg),
+        kpi_aggregate=aggregate,
     )
-
-
-def _aggregate_kpis(
-    months: Sequence[MonthResult], active0: int, active_end: int, tcfg: TreasuryConfig
-) -> dict:
-    gmv = sum(m.rail.gmv_cents for m in months)
-    acquiring = sum(m.rail.acquiring_fee_cents for m in months)
-    fee_revenue = acquiring + sum(
-        m.rail.hedge_spread_cents + m.rail.routing_fee_cents for m in months
-    )
-    attempted = sum(m.rail.tx_count for m in months)
-    settled = sum(m.rail.tx_settled for m in months)
-    routing = sum(m.rail.routing_fee_cents for m in months)
-    rebal_cost = sum(m.rail.rebalancing_cost_cents for m in months)
-    rebal_volume = sum(m.rebal_volume_cents for m in months)
-    opex_total = tcfg.opex_monthly_cents * len(months)
-    return {
-        "gmv_cents": gmv,
-        "realized_take_rate_bps": acquiring * 10_000 / gmv if gmv else 0.0,
-        "payment_success_rate": settled / attempted if attempted else 1.0,
-        "routing_revenue_per_100k_tx_cents": (
-            routing * 100_000 / attempted if attempted else 0.0
-        ),
-        "rebalancing_cost_bps": (
-            rebal_cost * 10_000 / rebal_volume if rebal_volume else 0.0
-        ),
-        "merchant_churn_rate": (active0 - active_end) / active0 if active0 else 0.0,
-        "opex_coverage_ratio": fee_revenue / opex_total if opex_total else math.inf,
-    }
 
 
 # --------------------------------------------------------------------------

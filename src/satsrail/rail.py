@@ -9,7 +9,6 @@ merchants 200-300 bps; the rail's take rate sits well below that.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -41,25 +40,6 @@ class Merchant:
             raise ValueError("bps fields must be non-negative")
         if self.active and self.monthly_gmv_cents <= 0:
             raise ValueError("active merchants need positive GMV")
-
-
-def load_merchants(raw: Sequence[dict]) -> list[Merchant]:
-    return [
-        Merchant(
-            id=str(m["id"]),
-            monthly_gmv_cents=int(m["monthly_gmv_cents"]),
-            take_rate_bps=int(m["take_rate_bps"]),
-            settle_mode=str(m.get("settle_mode", "fiat")),
-            sats_back_bps=int(m.get("sats_back_bps", 0)),
-            active=bool(m.get("active", True)),
-        )
-        for m in raw
-    ]
-
-
-def load_merchants_file(path) -> list[Merchant]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_merchants(json.load(fh))
 
 
 @dataclass(frozen=True)

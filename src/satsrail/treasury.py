@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from scipy.stats import norm
+from statistics import NormalDist
 
 from .money import SATS_PER_BTC
 from .util import decimal_fraction
@@ -199,7 +199,7 @@ def sleeve_var(sleeve_value_cents: int, sigma_monthly: float, alpha: float) -> i
         raise ValueError("alpha must be in (0.5, 1)")
     if sigma_monthly == 0.0 or sleeve_value_cents == 0:
         return 0
-    z = float(norm.ppf(alpha))
+    z = NormalDist().inv_cdf(alpha)
     return int(math.floor(sleeve_value_cents * (1.0 - math.exp(-z * sigma_monthly)) + 0.5))
 
 

@@ -85,6 +85,80 @@ def triangle_spec(policies=(1000, 100)) -> dict:
     }
 
 
+def stress_scenario_raw() -> dict:
+    """One merchant on a zero-fee hub channel under the -70% stress market."""
+    return {
+        "treasury": {
+            "btc_core_sats": 0,
+            "cash0_cents": 0,
+            "opex_monthly_cents": 3_400,
+            "horizon_months": 24,
+            "sleeve_fraction": 0.0,
+        },
+        "market": {"model": "stress", "kind": "linear", "total_drawdown": 0.70},
+        "start_price_cents": 10_000_000,
+        "graph": {
+            "nodes": ["hub", "shopco"],
+            "hub": "hub",
+            "channels": [
+                {
+                    "id": "hub-shopco",
+                    "a": "hub",
+                    "b": "shopco",
+                    "capacity_msat": 1_000_000_000_000,
+                    "balance_a_msat": 1_000_000_000_000,
+                    "policy_ab": {"base_msat": 0, "ppm": 0},
+                    "policy_ba": {"base_msat": 0, "ppm": 0},
+                }
+            ],
+        },
+        "merchants": [
+            {
+                "id": "shopco",
+                "monthly_gmv_cents": 1_000_000,
+                "take_rate_bps": 30,
+                "settle_mode": "fiat",
+            }
+        ],
+        "rail": {
+            "median_ticket_cents": 100_000,
+            "ticket_sigma": 0.0,
+            "spread_bps": 5,
+            "max_route_retries": 0,
+        },
+    }
+
+
+def set_key(raw: dict, dotted: str, value) -> dict:
+    """Set a dotted key (list items by index) in a raw config; returns it."""
+    *parents, last = dotted.split(".")
+    node = raw
+    for part in parents:
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    node[last] = value
+    return raw
+
+
+# Malformed scenario configs: (dotted key to set, its value, key the error
+# names). Each is valid apart from that one key.
+MALFORMED_CONFIGS = [
+    ("market.horizon_months", "twelve", "market.horizon_months"),
+    ("market.horizon_months", 12.5, "market.horizon_months"),
+    ("market.mu", "up", "market.mu"),
+    ("start_price_cents", "lots", "start_price_cents"),
+    ("payment_cap_per_month", "many", "payment_cap_per_month"),
+    ("var_sigma_monthly", "high", "var_sigma_monthly"),
+    ("min_channel_msat", None, "min_channel_msat"),
+    ("sleeve_peers", [["hub-peer"]], "sleeve_peers[0]"),
+    ("rebalence", {"low_watermark": 0.2}, "rebalence"),
+    ("rail.spred_bps", 3, "rail.spred_bps"),
+    ("market.sigmaa", 0.6, "market.sigmaa"),
+    ("hub_fee_policy", {"base_fee_msat": 1_000}, "hub_fee_policy.base_fee_msat"),
+    ("merchants.0.settle_mod", "btc", "merchants[0].settle_mod"),
+    ("merchants.0.active", "yes", "merchants[0].active"),
+]
+
+
 @pytest.fixture
 def chain_graph() -> ChannelGraph:
     return build_graph(chain_spec())

@@ -5,55 +5,21 @@ import json
 
 import pytest
 
-from conftest import HOLDINGS_FIXTURE, chain_spec, triangle_spec
+from conftest import (
+    HOLDINGS_FIXTURE,
+    MALFORMED_CONFIGS,
+    chain_spec,
+    set_key,
+    stress_scenario_raw,
+)
 from satsrail.cli import main
 from satsrail.util import canonical_json
 
 
 @pytest.fixture
 def scenario_file(tmp_path):
-    raw = {
-        "treasury": {
-            "btc_core_sats": 0,
-            "cash0_cents": 0,
-            "opex_monthly_cents": 3_400,
-            "horizon_months": 24,
-            "sleeve_fraction": 0.0,
-        },
-        "market": {"model": "stress", "kind": "linear", "total_drawdown": 0.70},
-        "start_price_cents": 10_000_000,
-        "graph": {
-            "nodes": ["hub", "shopco"],
-            "hub": "hub",
-            "channels": [
-                {
-                    "id": "hub-shopco",
-                    "a": "hub",
-                    "b": "shopco",
-                    "capacity_msat": 1_000_000_000_000,
-                    "balance_a_msat": 1_000_000_000_000,
-                    "policy_ab": {"base_msat": 0, "ppm": 0},
-                    "policy_ba": {"base_msat": 0, "ppm": 0},
-                }
-            ],
-        },
-        "merchants": [
-            {
-                "id": "shopco",
-                "monthly_gmv_cents": 1_000_000,
-                "take_rate_bps": 30,
-                "settle_mode": "fiat",
-            }
-        ],
-        "rail": {
-            "median_ticket_cents": 100_000,
-            "ticket_sigma": 0.0,
-            "spread_bps": 5,
-            "max_route_retries": 0,
-        },
-    }
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(stress_scenario_raw()))
     return path
 
 
@@ -140,6 +106,51 @@ class TestSimulate:
         a = json.loads(out1.read_text())
         b = json.loads(out2.read_text())
         assert a["survival_probability"] == b["survival_probability"]
+
+    def test_overrides_reach_the_report(self, scenario_file, tmp_path):
+        out = tmp_path / "r.json"
+        argv = ["--config", str(scenario_file), "--out", str(out)]
+        assert main(["simulate", "--seed", "5", "--paths", "2", *argv]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert config["monte_carlo"] == {"num_paths": 2, "master_seed": 5}
+        assert main(["stress", "--months", "12", *argv]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert config["treasury"]["horizon_months"] == 12
+        assert config["market"]["horizon_months"] == 12
+        assert config["monte_carlo"] == {"num_paths": 1, "master_seed": 0}
+
+
+def _malformed_cli_cases():
+    for dotted, value, key in MALFORMED_CONFIGS:
+        yield pytest.param(["simulate"], (dotted, value), key, id=f"{dotted}={value!r}")
+    yield pytest.param(["simulate"], None, "scenario.json", id="truncated-json")
+    # Overrides are applied to the loaded config, so file errors still win.
+    for argv, edit, key in (
+        (["simulate", "--seed", "5"], ("rebalence", {}), "rebalence"),
+        (["simulate", "--paths", "2"], ("market.sigmaa", 0.6), "market.sigmaa"),
+        (["stress", "--months", "12"], ("rail.spred_bps", 3), "rail.spred_bps"),
+    ):
+        yield pytest.param(argv, edit, key, id=" ".join(argv[1:]))
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("argv, edit, key", _malformed_cli_cases())
+    def test_exit_2_naming_the_key(self, argv, edit, key, tmp_path, capsys):
+        text = json.dumps(stress_scenario_raw())
+        if edit is None:
+            text = text[: len(text) // 2]
+        else:
+            text = json.dumps(set_key(stress_scenario_raw(), *edit))
+        config = tmp_path / "scenario.json"
+        config.write_text(text)
+        out = tmp_path / "r.json"
+        code = main([*argv, "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: invalid config: ")
+        assert key in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestStress:

@@ -1,13 +1,17 @@
 """Engine tests: per-path loop, Monte Carlo rollup, KPIs, reports."""
 
 import dataclasses
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from conftest import MALFORMED_CONFIGS, set_key, stress_scenario_raw
 from satsrail.engine import (
     ConfigError,
+    ScenarioConfig,
     config_from_dict,
     kpi_month,
     load_config_file,
@@ -18,7 +22,9 @@ from satsrail.engine import (
     write_report_json,
 )
 from satsrail.lightning import build_graph
-from satsrail.rail import month_rail_cashflow
+from satsrail.market import GbmParams
+from satsrail.rail import Merchant, month_rail_cashflow
+from satsrail.treasury import TreasuryConfig
 from satsrail.treasury import no_forced_sale
 from satsrail.util import canonical_json
 
@@ -379,6 +385,60 @@ class TestConfigValidation:
         config = load_config_file(tmp_path / "scenario.json")
         assert [m.id for m in config.merchants] == ["shop"]
         assert config.merchants[0].take_rate_bps == 20
+
+
+def _bench_workload(name: str) -> dict:
+    """The tiny size of a benchmark workload, at a fixed seed."""
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return getattr(module, name)(3, "tiny")
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("dotted, value, key", MALFORMED_CONFIGS)
+    def test_malformed_value_names_the_dotted_key(self, dotted, value, key):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(set_key(rich_raw_config(), dotted, value))
+        assert exc.value.key == key
+
+    @pytest.mark.parametrize(
+        "raw",
+        [rich_raw_config, empty_raw_config, stress_scenario_raw]
+        + [
+            lambda name=name: _bench_workload(name)
+            for name in ("rail_hub", "mesh_stress", "many_paths")
+        ],
+        ids=["rich", "empty", "stress", "rail_hub", "mesh_stress", "many_paths"],
+    )
+    def test_echo_parses_back_to_the_same_config(self, raw):
+        config = config_from_dict(raw())
+        echo = json.loads(canonical_json(config.to_dict()))
+        assert config_from_dict(echo) == config
+        assert config_from_dict(echo).to_dict() == echo
+
+    def test_omitted_keys_take_the_dataclass_defaults(self):
+        graph = {"nodes": ["hub", "shop"], "hub": "hub", "channels": []}
+        raw = {
+            "treasury": {"btc_core_sats": 1, "cash0_cents": 2, "opex_monthly_cents": 3},
+            "market": {"model": "gbm"},
+            "start_price_cents": START_PRICE,
+            "graph": graph,
+        }
+        assert config_from_dict(raw) == ScenarioConfig(
+            TreasuryConfig(1, 2, 3), GbmParams(0.0, 0.0, 24), START_PRICE, graph
+        )
+        raw["merchants"] = [{"id": "shop", "monthly_gmv_cents": 4, "take_rate_bps": 5}]
+        assert config_from_dict(raw).merchants == (Merchant("shop", 4, 5),)
+
+    def test_ints_pass_for_floats_and_integral_numbers_for_ints(self):
+        raw = rich_raw_config(sleeve_peers=[["pay1", 2]])
+        raw["treasury"].update(horizon_months=6.0, sleeve_fraction=0)
+        config = config_from_dict(raw)
+        assert config.sleeve_peers == (("pay1", 2.0),)
+        assert type(config.treasury.horizon_months) is int
+        assert type(config.treasury.sleeve_fraction) is float
 
 
 class TestReports:

@@ -1,6 +1,10 @@
 """Treasury tests: analytics, survival condition, VaR, monthly stepping."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +211,20 @@ class TestSleeveVar:
         for alpha in (0.5, 1.0, 0.2):
             with pytest.raises(ValueError):
                 sleeve_var(1_000, 0.2, alpha)
+
+    def test_package_import_loads_no_scipy(self):
+        # The quantile comes from the standard library; importing scipy.stats
+        # would cost about a second of start-up per process.
+        code = (
+            "import sys, satsrail.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        src = Path(__file__).parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_cap_check(self):
         check = var_cap_check(37_203_420, 200_000_000, 0.20)
