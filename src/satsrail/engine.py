@@ -21,6 +21,7 @@ retained fees from then on.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -35,6 +36,7 @@ from .lightning import (
     PaymentStatus,
     RoutingError,
     build_graph,
+    check_graph_spec,
     deploy_sleeve,
     rebalance,
     send_payment,
@@ -64,17 +66,9 @@ from .treasury import (
     step_treasury,
     var_cap_check,
 )
-from .util import canonical_json
+from .util import ConfigError, canonical_json, json_as
 
 COVERAGE_ZERO_OPEX = "uncovered-by-zero-opex"
-
-
-class ConfigError(ValueError):
-    """Scenario configuration problem; names the offending key."""
-
-    def __init__(self, key: str, message: str):
-        self.key = key
-        super().__init__(f"{key}: {message}")
 
 
 @dataclass(frozen=True)
@@ -230,24 +224,10 @@ class ScenarioConfig:
 # --------------------------------------------------------------------------
 
 _REQUIRED = object()
-_JSON_TYPES = {int: "an integer", float: "a number", str: "a string"}
-_JSON_TYPES.update({bool: "true or false", dict: "an object", list: "a list"})
 
 
 def _join(parent: str, name: str) -> str:
     return f"{parent}.{name}" if parent else name
-
-
-def _scalar(kind: type, value, key: str):
-    """``value`` as ``kind``; ints pass as floats, integral numbers as ints."""
-    if kind is float and type(value) is int:
-        value = float(value)
-    elif kind is int and type(value) is float and value.is_integer():
-        value = int(value)
-    if type(value) is not kind or (kind is float and not math.isfinite(value)):
-        shown = json.dumps(value, default=repr)[:60]
-        raise ConfigError(key, f"must be {_JSON_TYPES[kind]}, not {shown}")
-    return value
 
 
 def _read_json(path, key: str):
@@ -300,7 +280,7 @@ class _Key:
             value = raw[self.name]
         elif self.path_key in raw:
             path_key = _join(parent, self.path_key)
-            path = ctx.base_dir / _scalar(str, raw[self.path_key], path_key)
+            path = ctx.base_dir / json_as(str, raw[self.path_key], path_key)
             value = _read_json(path, path_key)
         elif self.default is _REQUIRED:
             either = f" (or {self.path_key!r})" if self.path_key else ""
@@ -310,7 +290,7 @@ class _Key:
         if value is None and self.default is None:
             parsed = None
         elif isinstance(self.kind, type):
-            parsed = _scalar(self.kind, value, key)
+            parsed = json_as(self.kind, value, key)
         else:
             parsed = self.kind.parse(value, key, ctx)
         ctx.parsed[key] = parsed
@@ -332,7 +312,7 @@ class _Section:
         return set().union(*(k.names() for k in self.keys))
 
     def parse(self, raw, key: str, ctx: _Ctx):
-        raw = _scalar(dict, raw, key or "config")
+        raw = json_as(dict, raw, key or "config")
         unknown = sorted(set(raw) - self.names())
         if unknown:
             raise ConfigError(_join(key, unknown[0]), "unknown key")
@@ -363,7 +343,7 @@ class _OneOf:
         self.tag, self.sections = tag, sections
 
     def parse(self, raw, key: str, ctx: _Ctx):
-        section = self.sections.get(_scalar(dict, raw, key).get(self.tag))
+        section = self.sections.get(json_as(dict, raw, key).get(self.tag))
         if section is None:
             choices = " or ".join(map(repr, self.sections))
             raise ConfigError(_join(key, self.tag), f"must be {choices}")
@@ -384,11 +364,11 @@ class _Custom:
 
 def _parse_peers(raw, key: str, ctx: _Ctx) -> tuple[tuple[str, float], ...]:
     peers = []
-    for i, pair in enumerate(_scalar(list, raw, key)):
+    for i, pair in enumerate(json_as(list, raw, key)):
         item = f"{key}[{i}]"
-        if len(_scalar(list, pair, item)) != 2:
+        if len(json_as(list, pair, item)) != 2:
             raise ConfigError(item, "must be a [node, weight] pair")
-        peers.append((_scalar(str, pair[0], item), _scalar(float, pair[1], item)))
+        peers.append((json_as(str, pair[0], item), json_as(float, pair[1], item)))
     return tuple(peers)
 
 
@@ -468,12 +448,13 @@ _ROSTER = _Custom(
     lambda merchants: [_MERCHANT.echo(m) for m in merchants],
 )
 _PEERS = _Custom(_parse_peers, lambda peers: [list(p) for p in peers])
+_GRAPH = _Custom(lambda raw, key, ctx: check_graph_spec(raw, key), lambda spec: spec)
 _SCENARIO = _Section(
     ScenarioConfig,
     _Key("treasury", _TREASURY),
     _Key("market", _MARKET),
     _Key("start_price_cents", int),
-    _Key("graph", dict, field="graph_spec", path_key="graph_path"),
+    _Key("graph", _GRAPH, field="graph_spec", path_key="graph_path"),
     _Key("merchants", _ROSTER, [], path_key="merchants_path"),
     _Key("rail", _RAIL, {}),
     _Key("stress_trigger", _TRIGGER, {}),
@@ -503,7 +484,7 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:
 
 def load_merchants(raw, key: str) -> tuple[Merchant, ...]:
     """Parse a merchant roster; every entry must match the merchant schema."""
-    merchants = enumerate(_scalar(list, raw, key))
+    merchants = enumerate(json_as(list, raw, key))
     return tuple(_MERCHANT.parse(m, f"{key}[{i}]", _Ctx()) for i, m in merchants)
 
 
@@ -862,6 +843,12 @@ def run_path(config: ScenarioConfig, path_index: int) -> PathResult:
 
 @dataclass(frozen=True)
 class ScenarioReport:
+    """A scenario's outcome.
+
+    ``paths_json`` is ``canonical_json`` of the path payload: the exact text
+    ``reconciliation_hash`` digests, and the report file's ``paths`` value.
+    """
+
     config_echo: dict
     master_seed: int
     num_paths: int
@@ -869,6 +856,7 @@ class ScenarioReport:
     survival_probability: float
     paths: tuple[PathResult, ...]
     reconciliation_hash: str
+    paths_json: str = field(repr=False)
 
 
 def run_scenario(config: ScenarioConfig, workers: int | None = None) -> ScenarioReport:
@@ -887,8 +875,11 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> Scenario
         results = [run_path(config, i) for i in range(n)]
     results.sort(key=lambda r: r.path_index)
     surviving = sum(1 for r in results if r.survives)
-    paths_payload = [_sanitize(dataclasses.asdict(r)) for r in results]
-    digest = hashlib.sha256(canonical_json(paths_payload).encode("utf-8")).hexdigest()
+    # One path at a time, so only one path's payload and encoder output are
+    # held at once; the text is canonical_json of the whole (non-empty) list.
+    nested = (_nested(canonical_json(_json_value(r))) for r in results)
+    paths_json = "[\n  " + ",\n  ".join(nested) + "\n]\n"
+    digest = hashlib.sha256(paths_json.encode("utf-8")).hexdigest()
     return ScenarioReport(
         config_echo=config.to_dict(),
         master_seed=config.monte_carlo.master_seed,
@@ -897,21 +888,36 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> Scenario
         survival_probability=surviving / n,
         paths=tuple(results),
         reconciliation_hash=digest,
+        paths_json=paths_json,
     )
 
 
-def _sanitize(obj):
-    """Replace non-JSON floats (inf coverage) with the documented sentinel."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _json_value(obj):
+    """``obj`` as a JSON value, built in one walk.
+
+    The same value as ``dataclasses.asdict`` (fields in declaration order)
+    with tuples made lists and infinite floats (coverage on zero opex) made
+    the documented sentinel, without ``asdict``'s deep copy and second walk.
+    """
+    if isinstance(obj, (int, str)) or obj is None:
+        return obj
+    if isinstance(obj, float):
+        return COVERAGE_ZERO_OPEX if math.isinf(obj) else obj
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return COVERAGE_ZERO_OPEX
+        return [_json_value(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _json_value(v) for k, v in obj.items()}
+    if dataclasses.is_dataclass(obj):
+        return {name: _json_value(getattr(obj, name)) for name in _field_names(type(obj))}
     return obj
 
 
-def report_to_dict(report: ScenarioReport) -> dict:
+def _report_header(report: ScenarioReport) -> dict:
     return {
         "config": report.config_echo,
         "master_seed": report.master_seed,
@@ -919,13 +925,42 @@ def report_to_dict(report: ScenarioReport) -> dict:
         "surviving_paths": report.surviving_paths,
         "survival_probability": report.survival_probability,
         "reconciliation_hash": report.reconciliation_hash,
-        "paths": [_sanitize(dataclasses.asdict(p)) for p in report.paths],
     }
 
 
+def report_to_dict(report: ScenarioReport) -> dict:
+    """The report document; its paths are parsed back from ``paths_json``."""
+    return {**_report_header(report), "paths": json.loads(report.paths_json)}
+
+
+def _nested(text: str) -> str:
+    """Canonical JSON ``text`` as it reads one level deeper in a document.
+
+    Every newline gains the two spaces of the enclosing level, and the
+    trailing newline goes; no JSON string holds a raw newline.
+    """
+    return text[:-1].replace("\n", "\n  ")
+
+
+# The top-level "paths" line of a canonical report. Every other line of the
+# document is indented deeper or names another key, so this occurs once.
+_PATHS_LINE = '\n  "paths": '
+
+
 def write_report_json(report: ScenarioReport, path) -> None:
+    """Write ``canonical_json(report_to_dict(report))`` without re-encoding paths.
+
+    The header is encoded with ``paths`` null, and ``paths_json``, nested
+    one level, takes the null's place.
+    """
+    header = canonical_json({**_report_header(report), "paths": None})
+    head, _, tail = header.partition(_PATHS_LINE + "null")
+    del header  # the config echo can be most of it; hold one copy, not two
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(report_to_dict(report)))
+        fh.write(head)
+        fh.write(_PATHS_LINE)
+        fh.write(_nested(report.paths_json))
+        fh.write(tail)
 
 
 CSV_COLUMNS = [

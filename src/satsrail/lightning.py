@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .util import apportion_largest_remainder, canonical_json, decimal_fraction
+from .util import (
+    ConfigError,
+    apportion_largest_remainder,
+    canonical_json,
+    decimal_fraction,
+    json_as,
+)
 
 
 class RoutingError(Exception):
@@ -309,6 +315,60 @@ class PaymentResult:
 # --------------------------------------------------------------------------
 
 
+# The keys each object of a graph spec takes, with their JSON types, and
+# the ones it may omit.
+_SPEC_KEYS = ({"nodes": list, "hub": str, "channels": list}, {"nodes", "channels"})
+_CHANNEL_KEYS = (
+    {
+        "id": str,
+        "a": str,
+        "b": str,
+        "capacity_msat": int,
+        "balance_a_msat": int,
+        "policy_ab": dict,
+        "policy_ba": dict,
+        "open": bool,
+    },
+    {"open"},
+)
+_POLICY_KEYS = ({"base_msat": int, "ppm": int}, set())
+
+
+def _check_object(raw, key: str, shape: tuple[dict, set]) -> None:
+    kinds, optional = shape
+    raw = json_as(dict, raw, key)
+    prefix = f"{key}." if key else ""
+    unknown = raw.keys() - kinds.keys()
+    if unknown:
+        raise ConfigError(prefix + min(unknown), "unknown key")
+    for name, kind in kinds.items():
+        if name in raw:
+            json_as(kind, raw[name], prefix + name)
+        elif name not in optional:
+            raise ConfigError(prefix + name, "missing required key")
+
+
+def check_graph_spec(spec, key: str = "") -> dict:
+    """``spec`` itself, once its shape is checked.
+
+    The spec takes only ``nodes``, ``hub`` and ``channels``, a channel only
+    its fields and ``open``, a policy only ``base_msat`` and ``ppm``. An
+    unknown key, a missing one or a wrong JSON type is a ``ConfigError``
+    naming the dotted key below ``key`` (``channels[0].opne``). Done once
+    where a spec enters the program, so ``build_graph`` stays plain.
+    """
+    prefix = f"{key}." if key else ""
+    _check_object(spec, key, _SPEC_KEYS)
+    for i, node in enumerate(spec.get("nodes", [])):
+        json_as(str, node, f"{prefix}nodes[{i}]")
+    for i, raw in enumerate(spec.get("channels", [])):
+        channel = f"{prefix}channels[{i}]"
+        _check_object(raw, channel, _CHANNEL_KEYS)
+        _check_object(raw["policy_ab"], f"{channel}.policy_ab", _POLICY_KEYS)
+        _check_object(raw["policy_ba"], f"{channel}.policy_ba", _POLICY_KEYS)
+    return spec
+
+
 def _policy_from_spec(raw: Mapping, channel_id: str, side: str) -> FeePolicy:
     try:
         return FeePolicy(int(raw["base_msat"]), int(raw["ppm"]))
@@ -373,7 +433,7 @@ def dump_graph(graph: ChannelGraph) -> str:
 
 def load_graph_file(path) -> ChannelGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return build_graph(json.load(fh))
+        return build_graph(check_graph_spec(json.load(fh)))
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Small shared helpers: apportionment and canonical JSON."""
+"""Small shared helpers: apportionment, canonical JSON and typed JSON input."""
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -49,3 +50,31 @@ def decimal_fraction(x: float | int) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     return Fraction(repr(x))
+
+
+class ConfigError(ValueError):
+    """Configuration problem; names the offending dotted key."""
+
+    def __init__(self, key: str, message: str):
+        self.key = key
+        self.message = message
+        super().__init__(f"{key}: {message}" if key else message)
+
+
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string"}
+_JSON_TYPES.update({bool: "true or false", dict: "an object", list: "a list"})
+
+
+def json_as(kind: type, value, key: str):
+    """``value`` as ``kind``; ints pass as floats, integral numbers as ints.
+
+    Anything else is a ``ConfigError`` naming ``key``.
+    """
+    if kind is float and type(value) is int:
+        value = float(value)
+    elif kind is int and type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        shown = json.dumps(value, default=repr)[:60]
+        raise ConfigError(key, f"must be {_JSON_TYPES[kind]}, not {shown}")
+    return value

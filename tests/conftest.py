@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import math
 import random
 from pathlib import Path
 
 import pytest
 
+from satsrail.engine import COVERAGE_ZERO_OPEX, ScenarioReport
 from satsrail.lightning import ChannelGraph, build_graph, hop_fee
+from satsrail.util import canonical_json
 
 DATA_DIR = Path(__file__).parents[1] / "data"
 HOLDINGS_FIXTURE = DATA_DIR / "btc_holdings_top10.csv"
@@ -156,7 +161,43 @@ MALFORMED_CONFIGS = [
     ("hub_fee_policy", {"base_fee_msat": 1_000}, "hub_fee_policy.base_fee_msat"),
     ("merchants.0.settle_mod", "btc", "merchants[0].settle_mod"),
     ("merchants.0.active", "yes", "merchants[0].active"),
+    ("graph.hubb", "hub", "graph.hubb"),
+    ("graph.channels.0.opne", False, "graph.channels[0].opne"),
+    ("graph.channels.0.policy_ab.fee", 0, "graph.channels[0].policy_ab.fee"),
+    ("graph.channels.0.capacity_msat", "lots", "graph.channels[0].capacity_msat"),
 ]
+
+
+def _sanitize(obj):
+    """Tuples as lists and infinite floats as the zero-opex sentinel."""
+    if isinstance(obj, dict):
+        return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    if isinstance(obj, float) and math.isinf(obj):
+        return COVERAGE_ZERO_OPEX
+    return obj
+
+
+def legacy_report_text(report: ScenarioReport) -> tuple[str, str]:
+    """Reference ``(report.json text, reconciliation_hash)`` for ``report``.
+
+    The report formula the engine's one-pass writer must reproduce byte for
+    byte: every path through ``dataclasses.asdict``, sanitized, encoded once
+    alone for the hash and again inside the whole document.
+    """
+    paths = [_sanitize(dataclasses.asdict(p)) for p in report.paths]
+    digest = hashlib.sha256(canonical_json(paths).encode("utf-8")).hexdigest()
+    document = {
+        "config": report.config_echo,
+        "master_seed": report.master_seed,
+        "num_paths": report.num_paths,
+        "surviving_paths": report.surviving_paths,
+        "survival_probability": report.survival_probability,
+        "reconciliation_hash": digest,
+        "paths": paths,
+    }
+    return canonical_json(document), digest
 
 
 @pytest.fixture

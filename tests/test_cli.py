@@ -342,6 +342,32 @@ class TestRoute:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            pytest.param(None, "must be an object", id="list"),
+            pytest.param(("channels", [{"id": "ab"}]), "channels[0].a", id="missing-key"),
+            pytest.param(("channels", ["ab"]), "channels[0]", id="non-object-channel"),
+            pytest.param(("channels.0.capacity_msat", "lots"), "channels[0].capacity_msat",
+                         id="string-capacity"),
+            pytest.param(("channels.0.capacity_msat", 1.5), "channels[0].capacity_msat",
+                         id="fractional-capacity"),
+            pytest.param(("channels.1.opne", False), "channels[1].opne", id="channel-typo"),
+            pytest.param(("hubb", "B"), "hubb", id="spec-typo"),
+            pytest.param(("channels.0.policy_ba.fee", 1), "channels[0].policy_ba.fee",
+                         id="policy-typo"),
+        ],
+    )
+    def test_malformed_graph_exit_1(self, edit, key, tmp_path, capsys):
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps([1, 2] if edit is None else set_key(chain_spec(), *edit)))
+        argv = ["route", "--graph", str(graph), "--from", "A", "--to", "C"]
+        assert main([*argv, "--amount-sats", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: graph: ")
+        assert key in err
+        assert "Traceback" not in err
+
     def test_fee_composition_on_chain(self, fee_graph_file, capsys):
         # 1_000_000 sats = 1e9 msat through one intermediary: fee 101_000.
         code = main(

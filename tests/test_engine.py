@@ -1,6 +1,7 @@
 """Engine tests: per-path loop, Monte Carlo rollup, KPIs, reports."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -8,7 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import MALFORMED_CONFIGS, set_key, stress_scenario_raw
+from conftest import (
+    MALFORMED_CONFIGS,
+    legacy_report_text,
+    set_key,
+    stress_scenario_raw,
+)
 from satsrail.engine import (
     ConfigError,
     ScenarioConfig,
@@ -115,6 +121,19 @@ def empty_raw_config(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def odd_ids_raw_config():
+    """``rich_raw_config`` with node and merchant ids that JSON must escape.
+
+    One id is the report's own ``paths`` key, one holds a quote and a
+    backslash, one is non-ASCII.
+    """
+    names = {"shopA": "paths", "shopB": 'q"uo\\te', "pay1": "caf\u00e9-\u03a9"}
+    text = json.dumps(rich_raw_config())
+    for old, new in names.items():
+        text = text.replace(json.dumps(old), json.dumps(new))
+    return json.loads(text)
 
 
 class TestDegenerateScenario:
@@ -439,6 +458,39 @@ class TestConfigSchema:
         assert config.sleeve_peers == (("pay1", 2.0),)
         assert type(config.treasury.horizon_months) is int
         assert type(config.treasury.sleeve_fraction) is float
+
+
+# Configs whose written report must equal the reference formula's bytes.
+ORACLE_CONFIGS = {
+    "rich": rich_raw_config,
+    "zero_opex": empty_raw_config,  # every coverage is the inf sentinel
+    "cli_stress": stress_scenario_raw,
+    "one_path": lambda: rich_raw_config(monte_carlo={"num_paths": 1, "master_seed": 4}),
+    "odd_ids": odd_ids_raw_config,
+}
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "workers2"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_written_report_equals_the_reference(self, name, workers, tmp_path):
+        report = run_scenario(config_from_dict(ORACLE_CONFIGS[name]()), workers=workers)
+        out = tmp_path / "report.json"
+        write_report_json(report, out)
+        text, digest = legacy_report_text(report)
+        assert report.reconciliation_hash == digest
+        assert out.read_bytes() == text.encode("utf-8")
+        assert canonical_json(report_to_dict(report)) == text
+        # The hash re-derives from the written file alone.
+        paths = json.loads(out.read_text(encoding="utf-8"))["paths"]
+        rederived = hashlib.sha256(canonical_json(paths).encode("utf-8")).hexdigest()
+        assert rederived == report.reconciliation_hash
+
+    def test_odd_ids_reach_the_report(self):
+        report = run_scenario(config_from_dict(odd_ids_raw_config()))
+        merchants = [m["id"] for m in report_to_dict(report)["config"]["merchants"]]
+        assert merchants == ["paths", 'q"uo\\te']
+        assert "caf\u00e9-\u03a9" in report.config_echo["graph"]["nodes"]
 
 
 class TestReports:
