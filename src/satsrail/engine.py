@@ -813,7 +813,8 @@ def run_path(config: ScenarioConfig, path_index: int) -> PathResult:
     )
     # The path's KPIs: one month's formula on the months' column sums (the
     # summed month number is dropped) and the roster's churn over the path.
-    columns = zip(*(dataclasses.astuple(m.rail) for m in months))
+    fields = _field_names(RailMonthRecord)
+    columns = zip(*([getattr(m.rail, f) for f in fields] for m in months))
     active_end = sum(1 for m in merchants if m.active)
     aggregate = dataclasses.asdict(
         kpi_month(
@@ -864,11 +865,12 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> Scenario
 
     ``workers`` > 1 fans paths out to a process pool; results are merged
     sorted by path index, so parallel and serial runs emit byte-identical
-    reports.
+    reports. A serial run validates in path 0's ``run_path``; a parallel one
+    validates before it starts the pool.
     """
-    config.validate()
     n = config.monte_carlo.num_paths
     if workers is not None and workers > 1:
+        config.validate()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_path, [config] * n, range(n)))
     else:

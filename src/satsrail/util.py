@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Sequence
 
 
@@ -37,10 +39,108 @@ def apportion_largest_remainder(
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON rendering: sorted keys, two-space indent, newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Deterministic JSON rendering: sorted keys, two-space indent, newline.
+
+    Exactly ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``
+    plus ``"\\n"``, errors included. That call takes the stdlib's
+    pure-Python encoder, because ``indent`` is set; here every container
+    whose values are all scalars goes through the stdlib's C encoder
+    instead, and only the containers around them are walked in Python.
+    """
+    return _indented(obj, 0, set()) + "\n"
 
 
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_STR = frozenset((str,))
+
+
+@functools.cache
+def _level(depth: int) -> tuple:
+    """``(encode, newline + inner indent, newline + outer indent)`` at ``depth``.
+
+    ``encode`` is the stdlib's compact encoder with the item separator of a
+    container at ``depth``: on a container of scalars it gives the indented
+    text but for the newlines inside the brackets. No encoded value holds a
+    raw newline. The C encoder is built once here rather than on every
+    ``JSONEncoder.encode`` call, which costs more than a small container's
+    encode; without the C accelerator ``encode`` is the stdlib's own.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    encoder = json.JSONEncoder(
+        sort_keys=True,
+        allow_nan=False,
+        check_circular=False,
+        separators=("," + inner, ": "),
+    )
+    if c_make_encoder is None:
+        encode = encoder.encode
+    else:
+        # JSONEncoder.iterencode's own call; no markers, as check_circular
+        # is off.
+        c_encode = c_make_encoder(
+            None,
+            encoder.default,
+            encode_basestring_ascii,
+            None,
+            encoder.key_separator,
+            encoder.item_separator,
+            encoder.sort_keys,
+            encoder.skipkeys,
+            encoder.allow_nan,
+        )
+
+        def encode(obj) -> str:
+            return "".join(c_encode(obj, 0))
+
+    return encode, inner, "\n" + "  " * depth
+
+
+def _indented(obj, depth: int, active: set) -> str:
+    """``obj`` as canonical JSON whose first line sits at ``depth``.
+
+    ``active`` holds the ids of the enclosing containers walked here, to
+    reject a value that contains itself as the stdlib does.
+    """
+    encode, inner, outer = _level(depth)
+    if isinstance(obj, dict):
+        values = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+    else:
+        return encode(obj)
+    if _SCALARS.issuperset(map(type, values)):
+        text = encode(obj)
+        return text[0] + inner + text[1:-1] + outer + text[-1] if obj else text
+    if id(obj) in active:
+        raise ValueError("Circular reference detected")
+    active.add(id(obj))
+    sep = "," + inner
+    if values is obj:
+        items = [_indented(v, depth + 1, active) for v in obj]
+        text = "[" + inner + sep.join(items) + outer + "]"
+    elif _STR.issuperset(map(type, obj)):
+        scalars, nested = {}, {}
+        for k, v in obj.items():
+            (nested if isinstance(v, _CONTAINERS) else scalars)[k] = v
+        # The scalar items in one encode; its item separator is this level's,
+        # so it splits into items exactly, in sorted key order.
+        lines = iter(encode(scalars)[1:-1].split(sep))
+        items = [
+            f"{encode_basestring_ascii(k)}: {_indented(nested[k], depth + 1, active)}"
+            if k in nested
+            else next(lines)
+            for k in sorted(obj)
+        ]
+        text = "{" + inner + sep.join(items) + outer + "}"
+    else:  # non-string keys beside containers: the stdlib's own walk
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        text = text.replace("\n", outer)
+    active.discard(id(obj))
+    return text
+
+
+@functools.lru_cache
 def decimal_fraction(x: float | int) -> Fraction:
     """Exact rational for a human-entered decimal fraction.
 

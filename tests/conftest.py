@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import math
 import random
 from pathlib import Path
@@ -12,7 +13,6 @@ import pytest
 
 from satsrail.engine import COVERAGE_ZERO_OPEX, ScenarioReport
 from satsrail.lightning import ChannelGraph, build_graph, hop_fee
-from satsrail.util import canonical_json
 
 DATA_DIR = Path(__file__).parents[1] / "data"
 HOLDINGS_FIXTURE = DATA_DIR / "btc_holdings_top10.csv"
@@ -179,6 +179,16 @@ def _sanitize(obj):
     return obj
 
 
+def stdlib_canonical_json(obj) -> str:
+    """The canonical JSON formula, spelled with the stdlib alone.
+
+    ``satsrail.util.canonical_json`` must return exactly these bytes; the
+    oracles below use this spelling so they never test that encoder against
+    itself.
+    """
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def legacy_report_text(report: ScenarioReport) -> tuple[str, str]:
     """Reference ``(report.json text, reconciliation_hash)`` for ``report``.
 
@@ -187,7 +197,7 @@ def legacy_report_text(report: ScenarioReport) -> tuple[str, str]:
     alone for the hash and again inside the whole document.
     """
     paths = [_sanitize(dataclasses.asdict(p)) for p in report.paths]
-    digest = hashlib.sha256(canonical_json(paths).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(stdlib_canonical_json(paths).encode("utf-8")).hexdigest()
     document = {
         "config": report.config_echo,
         "master_seed": report.master_seed,
@@ -197,7 +207,7 @@ def legacy_report_text(report: ScenarioReport) -> tuple[str, str]:
         "reconciliation_hash": digest,
         "paths": paths,
     }
-    return canonical_json(document), digest
+    return stdlib_canonical_json(document), digest
 
 
 @pytest.fixture

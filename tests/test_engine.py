@@ -13,6 +13,7 @@ from conftest import (
     MALFORMED_CONFIGS,
     legacy_report_text,
     set_key,
+    stdlib_canonical_json,
     stress_scenario_raw,
 )
 from satsrail.engine import (
@@ -483,8 +484,8 @@ class TestReportBytes:
         assert canonical_json(report_to_dict(report)) == text
         # The hash re-derives from the written file alone.
         paths = json.loads(out.read_text(encoding="utf-8"))["paths"]
-        rederived = hashlib.sha256(canonical_json(paths).encode("utf-8")).hexdigest()
-        assert rederived == report.reconciliation_hash
+        rederived = hashlib.sha256(stdlib_canonical_json(paths).encode("utf-8"))
+        assert rederived.hexdigest() == report.reconciliation_hash
 
     def test_odd_ids_reach_the_report(self):
         report = run_scenario(config_from_dict(odd_ids_raw_config()))
@@ -527,7 +528,7 @@ class TestReports:
         report = run_scenario(config)
         assert report.survival_probability == report.surviving_paths / report.num_paths
 
-    def test_scenario_builds_one_graph_per_path_after_validating(self, monkeypatch):
+    def test_serial_scenario_builds_one_graph_per_path(self, monkeypatch):
         from satsrail import engine
 
         config = config_from_dict(rich_raw_config())
@@ -539,7 +540,7 @@ class TestReports:
 
         monkeypatch.setattr(engine, "build_graph", counting_build_graph)
         report = run_scenario(config)
-        assert len(builds) == 1 + report.num_paths
+        assert len(builds) == report.num_paths  # path 0 validates; no extra build
         builds.clear()
         run_path(config, 0)
         assert len(builds) == 1  # validation's graph is the one the path runs on
