@@ -52,7 +52,10 @@ def scenario(merchants, cash0_cents):
 def show(label, report):
     path = report.paths[0]
     verdict = "SURVIVES" if path.survives else f"BREACH at month {path.breach_month}"
-    print(f"{label:<28} {verdict:<20} terminal cash ${path.terminal_cash_cents / 100:,.2f}")
+    line = f"{label:<28} {verdict:<20} terminal cash ${path.terminal_cash_cents / 100:,.2f}"
+    if not path.survives:
+        line += f", required sale {path.required_sale_sats:,} sats"
+    print(line)
 
 
 print("-70% linear bear over 24 months, opex $34/month (scaled-down book):")

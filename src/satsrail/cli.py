@@ -12,6 +12,7 @@ not found locally are also tried under ``$SATSRAIL_CONFIG_DIR``.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -65,6 +66,20 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _non_negative_int(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return n
+
+
+def _usd_to_cents(value: str) -> int:
+    cents = float(value) * 100
+    if not (math.isfinite(cents) and round(cents) >= 1):
+        raise argparse.ArgumentTypeError("must be a finite price of at least one cent")
+    return round(cents)
+
+
 def _drawdown(value: str) -> float:
     d = float(value)
     if not 0.0 <= d < 1.0:
@@ -116,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mnav = sub.add_parser("mnav", help="holdings analytics table")
     p_mnav.add_argument("--holdings", required=True, help="holdings CSV path")
     p_mnav.add_argument(
-        "--price", type=float, required=True, help="BTC price in USD"
+        "--price", dest="price_cents", metavar="USD", type=_usd_to_cents,
+        required=True, help="BTC price in USD",
     )
     p_mnav.add_argument("--csv", default=None, help="optional CSV output path")
     p_mnav.set_defaults(func=cmd_mnav)
@@ -129,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--amount-sats", type=_positive_int, required=True, help="amount in sats"
     )
     p_route.add_argument(
-        "--max-fee-sats", type=int, default=None, help="optional fee cap in sats"
+        "--max-fee-sats", type=_non_negative_int, default=None, help="optional fee cap in sats"
     )
     p_route.set_defaults(func=cmd_route)
 
@@ -185,20 +201,16 @@ MNAV_HEADER = f"{'TICKER':<8}{'BTC_HELD':>14}{'MKT_CAP_USD':>18}{'MNAV':>12}{'BT
 
 
 def cmd_mnav(args) -> int:
-    if args.price <= 0:
-        print("error: --price must be positive", file=sys.stderr)
-        return 2
     try:
         rows = load_holdings_csv(args.holdings)
     except (HoldingsCsvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    price_cents = int(round(args.price * 100))
     rows = sorted(rows, key=lambda r: -r.btc_held)
     print(MNAV_HEADER)
     csv_lines = ["ticker,btc_held,mkt_cap_usd,mnav,btc_per_share"]
     for row in rows:
-        ratio = mnav(row.mkt_cap_cents, row.btc_held, price_cents)
+        ratio = mnav(row.mkt_cap_cents, row.btc_held, args.price_cents)
         if row.shares_outstanding:
             per_share = btc_per_share(row.btc_held, row.shares_outstanding)
             per_share_str = f"{per_share:>16.8f}"

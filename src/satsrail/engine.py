@@ -26,7 +26,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -60,8 +60,8 @@ from .treasury import (
     TreasuryConfig,
     VarCheck,
     initial_state,
-    monthly_yield_cents,
-    no_forced_sale,
+    monthly_yield_cents,  # unused here; bench/tracer.py wraps engine.monthly_yield_cents
+    no_forced_sale,  # unused here; bench/tracer.py wraps engine.no_forced_sale
     sleeve_var,
     step_treasury,
     var_cap_check,
@@ -668,13 +668,11 @@ def run_path(config: ScenarioConfig, path_index: int) -> PathResult:
     payer_pool = sorted(graph.nodes - {graph.hub} - merchant_nodes) or [graph.hub]
     rail_seed = child_seed(config.monte_carlo.master_seed, path_index, "rail")
 
-    state = initial_state(tcfg, sleeve_deployed_msat=graph.node_balance_msat(graph.hub))
+    state = initial_state(tcfg)
     active0 = sum(1 for m in merchants if m.active)
     peak = path.prices[0]
     armed = True
     months: list[MonthResult] = []
-    inflow_series: list[int] = []
-    outflow_series: list[int] = []
 
     for month in range(1, tcfg.horizon_months + 1):
         price = path.prices[month]
@@ -763,10 +761,7 @@ def run_path(config: ScenarioConfig, path_index: int) -> PathResult:
             variable_cost_cents=floor_bps(gmv_settled, config.rail.variable_cost_bps),
         )
 
-        earned = monthly_yield_cents(state.cash_cents, tcfg.cash_yield_apy)
-        state = step_treasury(state, tcfg, price, record.net_inflow_cents)
-        inflow_series.append(record.net_inflow_cents + earned)
-        outflow_series.append(tcfg.out_monthly_cents)
+        earned = step_treasury(state, tcfg, price, record.net_inflow_cents)
 
         success = record.tx_settled / record.tx_count if record.tx_count else 1.0
         merchants, churn_rate = apply_churn(
@@ -780,7 +775,6 @@ def run_path(config: ScenarioConfig, path_index: int) -> PathResult:
 
         rebal_volume_cents = msat_to_cents(rebal_volume_msat, price)
         sleeve_msat = graph.node_balance_msat(graph.hub)
-        state = replace(state, sleeve_deployed_msat=sleeve_msat)
         var_cents = sleeve_var(
             msat_to_cents(sleeve_msat, price),
             config.sigma_monthly(),
@@ -808,9 +802,6 @@ def run_path(config: ScenarioConfig, path_index: int) -> PathResult:
             )
         )
 
-    verdict = no_forced_sale(
-        tcfg.cash0_cents, inflow_series, outflow_series, tcfg.survival_mode
-    )
     # The path's KPIs: one month's formula on the months' column sums (the
     # summed month number is dropped) and the roster's churn over the path.
     fields = _field_names(RailMonthRecord)
@@ -827,10 +818,10 @@ def run_path(config: ScenarioConfig, path_index: int) -> PathResult:
     del aggregate["month"]
     return PathResult(
         path_index=path_index,
-        survives=verdict.survives,
-        breach_month=verdict.breach_month,
-        min_cash_cents=verdict.min_cash_cents,
-        terminal_cash_cents=verdict.terminal_cash_cents,
+        survives=state.breach_month is None,
+        breach_month=state.breach_month,
+        min_cash_cents=state.min_cash_cents,
+        terminal_cash_cents=state.balance_cents,
         required_sale_sats=state.required_sale_sats,
         months=tuple(months),
         kpi_aggregate=aggregate,

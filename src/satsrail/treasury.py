@@ -2,21 +2,24 @@
 
 The central question this module answers: does initial cash plus the rail's
 monthly net inflows cover monthly operating outflows over the horizon
-without selling core BTC? Two survival modes are supported. ``terminal``
-compares the sums at the horizon only, permitting interim negative cash;
-``pathwise`` (the default) requires the running cash balance to stay
-non-negative every month and reports the first breach.
+without selling core BTC? ``pathwise`` survival (the default) requires the
+running balance to stay non-negative every month; ``terminal`` checks it at
+the horizon only, permitting interim negative cash.
 
-Forced sales are recorded, never executed: when cash would go negative the
-state captures the breach month and the BTC sale that would have been
-required, then floors cash at zero so the simulation can finish.
+One fold books the ledger, a month at a time (``step_treasury``) or over
+given series (``no_forced_sale``). Its raw balance gives the verdict, the
+minimum and the terminal cash; its floored balance (``cash_cents``, never
+below zero) earns the yield and sets the VaR cap. A breach (the first
+negative month in pathwise mode, a negative horizon in terminal mode)
+records the BTC sale that would have covered the shortfall at that month's
+price, rounded up to whole sats. Sales are recorded, never executed.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist
 
 from .money import SATS_PER_BTC
@@ -85,33 +88,55 @@ class TreasuryConfig:
         return int(self.btc_core_sats * frac.numerator // frac.denominator)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TreasuryState:
-    """Balance-sheet snapshot after ``month`` monthly steps."""
+    """The fold's accumulator after ``month`` booked months.
+
+    ``cash_cents`` is floored at zero; ``balance_cents`` and
+    ``min_cash_cents`` are raw (the minimum includes month 0).
+    """
 
     month: int
-    btc_core_sats: int
-    sleeve_deployed_msat: int
     cash_cents: int
-    cumulative_inflows_cents: int = 0
-    cumulative_outflows_cents: int = 0
-    forced_sale: bool = False
+    balance_cents: int
+    min_cash_cents: int
     breach_month: int | None = None
     required_sale_sats: int | None = None
 
-    def __post_init__(self):
-        if self.forced_sale != (self.breach_month is not None):
-            raise ValueError("forced_sale must accompany a breach month")
+
+def _opening(cash0_cents: int) -> TreasuryState:
+    return TreasuryState(0, cash0_cents, cash0_cents, cash0_cents)
 
 
-def initial_state(config: TreasuryConfig, sleeve_deployed_msat: int = 0) -> TreasuryState:
-    """Month-0 state: sleeve carved out of the total position, core fixed."""
-    return TreasuryState(
-        month=0,
-        btc_core_sats=config.btc_core_sats - config.sleeve_sats,
-        sleeve_deployed_msat=sleeve_deployed_msat,
-        cash_cents=config.cash0_cents,
-    )
+def initial_state(config: TreasuryConfig) -> TreasuryState:
+    """Month-0 ledger: the configured opening cash, nothing booked."""
+    return _opening(config.cash0_cents)
+
+
+def _book(
+    state: TreasuryState,
+    net_cents: int,
+    horizon_months: int,
+    pathwise: bool,
+    price_cents_per_btc: int | None,
+) -> None:
+    """Book one month's net flow into ``state``: the breach and minimum rule
+    of both modes. The required sale is recorded only when a price is given.
+    """
+    month = state.month + 1
+    balance = state.balance_cents + net_cents
+    state.month = month
+    state.balance_cents = balance
+    state.cash_cents = max(0, state.cash_cents + net_cents)
+    if balance < state.min_cash_cents:
+        state.min_cash_cents = balance
+    if balance < 0 and state.breach_month is None and (pathwise or month == horizon_months):
+        state.breach_month = month
+        if price_cents_per_btc is not None:
+            shortfall = -balance
+            state.required_sale_sats = (
+                shortfall * SATS_PER_BTC + price_cents_per_btc - 1
+            ) // price_cents_per_btc
 
 
 def mnav(mkt_cap_cents: int, btc_held: float, price_cents_per_btc: int) -> float:
@@ -145,14 +170,15 @@ def no_forced_sale(
     outflows_cents: list[int] | tuple[int, ...],
     mode: str = "pathwise",
 ) -> SurvivalVerdict:
-    """Evaluate the no-forced-sale condition over the horizon.
+    """Evaluate the no-forced-sale condition over given monthly series.
 
-    ``terminal``: survives iff cash0 plus total inflows covers total
-    outflows (non-strict, so equality passes); a failure reports the
-    horizon as the breach month. ``pathwise``: the running balance
-    ``cash0 + sum(in[1..k]) - sum(out[1..k])`` must be non-negative for
-    every prefix k; the first violating month is the breach. ``min_cash``
-    is the minimum running balance including month 0.
+    The series form of ``step_treasury``'s booking: month k books
+    ``inflows[k] - outflows[k]`` (yield already included). ``terminal``
+    survives iff the balance at the horizon is non-negative (so equality
+    passes) and otherwise reports the horizon as the breach month.
+    ``pathwise`` requires ``cash0 + sum(in[1..k]) - sum(out[1..k]) >= 0``
+    for every prefix k; the first violating month is the breach.
+    ``min_cash`` is the minimum running balance including month 0.
     """
     if mode not in SURVIVAL_MODES:
         raise ValueError(f"mode must be one of {SURVIVAL_MODES}")
@@ -160,28 +186,16 @@ def no_forced_sale(
         raise ValueError("inflows and outflows must have the same length")
     if not inflows_cents:
         raise ValueError("need at least one month")
-    running = cash0_cents
-    min_cash = running
-    breach = None
-    for k, (inflow, outflow) in enumerate(zip(inflows_cents, outflows_cents), start=1):
-        running += inflow - outflow
-        min_cash = min(min_cash, running)
-        if running < 0 and breach is None:
-            breach = k
-    terminal = running
-    if mode == "terminal":
-        survives = terminal >= 0
-        return SurvivalVerdict(
-            survives=survives,
-            breach_month=None if survives else len(inflows_cents),
-            min_cash_cents=min_cash,
-            terminal_cash_cents=terminal,
-        )
+    state = _opening(cash0_cents)
+    horizon = len(inflows_cents)
+    pathwise = mode == "pathwise"
+    for inflow, outflow in zip(inflows_cents, outflows_cents):
+        _book(state, inflow - outflow, horizon, pathwise, None)
     return SurvivalVerdict(
-        survives=breach is None,
-        breach_month=breach,
-        min_cash_cents=min_cash,
-        terminal_cash_cents=terminal,
+        survives=state.breach_month is None,
+        breach_month=state.breach_month,
+        min_cash_cents=state.min_cash_cents,
+        terminal_cash_cents=state.balance_cents,
     )
 
 
@@ -238,52 +252,26 @@ def step_treasury(
     config: TreasuryConfig,
     price_cents_per_btc: int,
     rail_inflow_cents: int,
-    extra_out_cents: int = 0,
-) -> TreasuryState:
-    """Advance one month: book inflows, outflows and cash yield.
+) -> int:
+    """Book one month into ``state`` in place; returns the month's cash yield.
 
-    Outflows are opex + interest + capex + ``extra_out_cents``. Yield
-    accrues on the opening cash balance. If cash would go negative in
-    pathwise mode, the first such month is recorded as a breach together
-    with the BTC sale that would have been required (rounded up to whole
-    sats); cash is floored at zero afterward so the path can complete.
-    Core BTC is never touched.
+    Yield accrues on the opening floored cash; outflows are opex + interest
+    + capex. A breach is booked by ``_book``'s rule for the configured
+    survival mode, with the sale valued at ``price_cents_per_btc``.
     """
     if state.month >= config.horizon_months:
         raise ValueError("cannot step past the configured horizon")
     if price_cents_per_btc <= 0:
         raise ValueError("price must be positive")
-    if extra_out_cents < 0:
-        raise ValueError("extra outflows must be non-negative")
-    out = config.out_monthly_cents + extra_out_cents
     earned = monthly_yield_cents(state.cash_cents, config.cash_yield_apy)
-    raw_cash = state.cash_cents + rail_inflow_cents + earned - out
-    month = state.month + 1
-    forced_sale = state.forced_sale
-    breach_month = state.breach_month
-    required_sale = state.required_sale_sats
-    cash = raw_cash
-    if raw_cash < 0:
-        if config.survival_mode == "pathwise" and not forced_sale:
-            forced_sale = True
-            breach_month = month
-            shortfall = -raw_cash
-            required_sale = (
-                shortfall * SATS_PER_BTC + price_cents_per_btc - 1
-            ) // price_cents_per_btc
-        cash = 0
-    return replace(
+    _book(
         state,
-        month=month,
-        cash_cents=cash,
-        cumulative_inflows_cents=state.cumulative_inflows_cents
-        + rail_inflow_cents
-        + earned,
-        cumulative_outflows_cents=state.cumulative_outflows_cents + out,
-        forced_sale=forced_sale,
-        breach_month=breach_month,
-        required_sale_sats=required_sale,
+        rail_inflow_cents + earned - config.out_monthly_cents,
+        config.horizon_months,
+        config.survival_mode == "pathwise",
+        price_cents_per_btc,
     )
+    return earned
 
 
 @dataclass(frozen=True)

@@ -277,6 +277,33 @@ class TestMnav:
         assert len(lines) == 11
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["mnav", "--holdings", str(HOLDINGS_FIXTURE), "--price", "nan"], "--price"),
+            (["mnav", "--holdings", str(HOLDINGS_FIXTURE), "--price", "inf"], "--price"),
+            (["mnav", "--holdings", str(HOLDINGS_FIXTURE), "--price", "1e-9"], "--price"),
+            (
+                ["route", "--graph", "GRAPH", "--from", "A", "--to", "B",
+                 "--amount-sats", "1000", "--max-fee-sats", "-5"],
+                "--max-fee-sats",
+            ),
+        ],
+        ids=["price-nan", "price-inf", "price-below-a-cent", "negative-fee-cap"],
+    )
+    def test_usage_error_exit_2(self, argv, flag, tmp_path, capsys):
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(chain_spec()))
+        argv = [str(graph) if arg == "GRAPH" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}:" in captured.err
+
+
 class TestRoute:
     @pytest.fixture
     def graph_file(self, tmp_path):

@@ -2,9 +2,11 @@
 
 import dataclasses
 import hashlib
+import importlib
 import importlib.util
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from conftest import (
     stdlib_canonical_json,
     stress_scenario_raw,
 )
+from satsrail import engine, treasury
 from satsrail.engine import (
     ConfigError,
     ScenarioConfig,
@@ -30,6 +33,7 @@ from satsrail.engine import (
 )
 from satsrail.lightning import build_graph
 from satsrail.market import GbmParams
+from satsrail.money import SATS_PER_BTC
 from satsrail.rail import Merchant, month_rail_cashflow
 from satsrail.treasury import TreasuryConfig
 from satsrail.treasury import no_forced_sale
@@ -213,6 +217,56 @@ class TestModuleIntegrationEquivalence:
             direct = no_forced_sale(cash0, [0] * 24, [100_000] * 24, "pathwise")
             assert result.survives == direct.survives
             assert result.breach_month == direct.breach_month
+
+
+class TestSurvivalModes:
+    """Both modes book one ledger; only the breach rule differs."""
+
+    @staticmethod
+    def _failing_stress_path(mode):
+        raw = stress_scenario_raw()
+        raw["treasury"].update(
+            {"cash0_cents": 1_000, "opex_monthly_cents": 10**9, "survival_mode": mode}
+        )
+        return run_path(config_from_dict(raw), 0)
+
+    def test_terminal_failure_reports_the_sale_at_the_horizon_price(self):
+        result = self._failing_stress_path("terminal")
+        assert not result.survives
+        assert result.breach_month == 24
+        horizon_price = result.months[-1].price_cents
+        assert result.required_sale_sats == math.ceil(
+            Fraction(-result.terminal_cash_cents * SATS_PER_BTC, horizon_price)
+        )
+
+    def test_pathwise_failure_reports_the_sale_at_the_first_breach(self):
+        result = self._failing_stress_path("pathwise")
+        assert not result.survives
+        assert result.breach_month == 1
+        assert result.required_sale_sats == 10_300_383_187
+
+    def test_modes_report_the_same_cash_figures(self):
+        terminal = self._failing_stress_path("terminal")
+        pathwise = self._failing_stress_path("pathwise")
+        assert terminal.min_cash_cents == pathwise.min_cash_cents == -23_999_915_028
+        assert terminal.terminal_cash_cents == pathwise.terminal_cash_cents
+        # Monthly cash is the floored balance; the minimum above is raw.
+        assert terminal.months == pathwise.months
+        assert all(m.cash_cents == 0 for m in pathwise.months)
+
+    def test_yield_is_computed_once_per_month(self, monkeypatch):
+        calls = []
+        original = treasury.monthly_yield_cents
+
+        def counting_yield(cash_cents, apy):
+            calls.append(cash_cents)
+            return original(cash_cents, apy)
+
+        monkeypatch.setattr(treasury, "monthly_yield_cents", counting_yield)
+        monkeypatch.setattr(engine, "monthly_yield_cents", counting_yield)
+        config = config_from_dict(rich_raw_config())
+        run_path(config, 0)
+        assert len(calls) == config.treasury.horizon_months
 
 
 class TestStressTrigger:
@@ -407,13 +461,28 @@ class TestConfigValidation:
         assert config.merchants[0].take_rate_bps == 20
 
 
-def _bench_workload(name: str) -> dict:
-    """The tiny size of a benchmark workload, at a fixed seed."""
-    path = Path(__file__).parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def _bench_module(name: str):
+    path = Path(__file__).parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return getattr(module, name)(3, "tiny")
+    return module
+
+
+def _bench_workload(name: str) -> dict:
+    """The tiny size of a benchmark workload, at a fixed seed."""
+    return getattr(_bench_module("workloads"), name)(3, "tiny")
+
+
+def test_every_bench_tracer_site_resolves():
+    # The tracer wraps these attributes by name; a missing one breaks
+    # `bench/run.py --trace 1` before any workload runs.
+    sites = [site for group in _bench_module("tracer").SITES.values() for site in group]
+    assert sites
+    for site in sites:
+        module_name, attr = site.split(".")
+        module = importlib.import_module(f"satsrail.{module_name}")
+        assert callable(getattr(module, attr, None)), site
 
 
 class TestConfigSchema:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HOLDINGS_FIXTURE
+from satsrail.money import SATS_PER_BTC
 from satsrail.treasury import (
+    SURVIVAL_MODES,
     HoldingsCsvError,
+    SurvivalVerdict,
     TreasuryConfig,
     btc_per_share,
     initial_state,
@@ -250,89 +254,142 @@ class TestStepTreasury:
     def test_no_flows_no_change(self):
         cfg = config(cash0_cents=500)
         state = initial_state(cfg)
-        nxt = step_treasury(state, cfg, 10_000_000, 0)
-        assert nxt.month == 1
-        assert nxt.cash_cents == 500
-        assert not nxt.forced_sale
+        assert step_treasury(state, cfg, 10_000_000, 0) == 0
+        assert state.month == 1
+        assert state.cash_cents == state.balance_cents == 500
+        assert state.breach_month is None
 
     def test_breach_records_required_sale(self):
         # Shortfall 50 cents at $100,000/BTC needs ceil(50e8 / 1e7) = 500 sats.
         cfg = config(cash0_cents=100, opex_monthly_cents=150)
         state = initial_state(cfg)
-        nxt = step_treasury(state, cfg, 10_000_000, 0)
-        assert nxt.forced_sale
-        assert nxt.breach_month == 1
-        assert nxt.required_sale_sats == 500
-        assert nxt.cash_cents == 0
+        step_treasury(state, cfg, 10_000_000, 0)
+        assert state.breach_month == 1
+        assert state.required_sale_sats == 500
+        assert state.cash_cents == 0
+        assert state.balance_cents == state.min_cash_cents == -50
 
     def test_first_breach_only_recorded(self):
         cfg = config(cash0_cents=0, opex_monthly_cents=100)
         state = initial_state(cfg)
-        state = step_treasury(state, cfg, 10_000_000, 0)
+        step_treasury(state, cfg, 10_000_000, 0)
         first_sale = state.required_sale_sats
-        state = step_treasury(state, cfg, 10_000_000, 0)
+        step_treasury(state, cfg, 20_000_000, 0)
         assert state.breach_month == 1
         assert state.required_sale_sats == first_sale
+
+    def test_terminal_breach_is_valued_at_the_horizon(self):
+        # Raw balance -100, -200, -300: no breach before the horizon, then
+        # ceil(300e8 / 7e6) = 4286 sats at the horizon price.
+        cfg = config(cash0_cents=0, opex_monthly_cents=100, horizon_months=3,
+                     survival_mode="terminal")
+        state = initial_state(cfg)
+        for price in (10_000_000, 9_000_000):
+            step_treasury(state, cfg, price, 0)
+            assert state.breach_month is None
+        step_treasury(state, cfg, 7_000_000, 0)
+        assert state.breach_month == 3
+        assert state.required_sale_sats == 4_286
+        assert state.cash_cents == 0
+        assert state.balance_cents == state.min_cash_cents == -300
+
+    def test_terminal_recovery_is_no_breach(self):
+        cfg = config(cash0_cents=0, opex_monthly_cents=100, horizon_months=2,
+                     survival_mode="terminal")
+        state = initial_state(cfg)
+        step_treasury(state, cfg, 10_000_000, 0)
+        step_treasury(state, cfg, 10_000_000, 250)
+        # Cash floored at 0 after month 1, so the floored balance gains 150.
+        assert state.cash_cents == 150
+        assert state.balance_cents == 50
+        assert state.min_cash_cents == -100
+        assert state.breach_month is None
+        assert state.required_sale_sats is None
 
     def test_yield_compounds_close_to_apy(self):
         # Compound-interest oracle: $1M at 5% APY over 12 months is $1.05M.
         # Monthly cent flooring loses under a cent a month, so allow 12.
         cfg = config(cash0_cents=100_000_000, cash_yield_apy=0.05, horizon_months=12)
         state = initial_state(cfg)
-        for _ in range(12):
-            state = step_treasury(state, cfg, 10_000_000, 0)
+        earned = sum(step_treasury(state, cfg, 10_000_000, 0) for _ in range(12))
         assert 105_000_000 - 12 <= state.cash_cents <= 105_000_000
-
-    def test_core_btc_never_touched(self):
-        cfg = config(btc_core_sats=1_000_000, cash0_cents=10, opex_monthly_cents=1_000)
-        state = initial_state(cfg)
-        core0 = state.btc_core_sats
-        for _ in range(5):
-            state = step_treasury(state, cfg, 10_000_000, 0)
-        assert state.btc_core_sats == core0
-        assert state.forced_sale  # breached, recorded, but core untouched
+        assert state.cash_cents == 100_000_000 + earned
 
     def test_cannot_step_past_horizon(self):
         cfg = config(horizon_months=1)
-        state = step_treasury(initial_state(cfg), cfg, 10_000_000, 0)
+        state = initial_state(cfg)
+        step_treasury(state, cfg, 10_000_000, 0)
         with pytest.raises(ValueError):
             step_treasury(state, cfg, 10_000_000, 0)
 
+    def test_rejects_a_non_positive_price(self):
+        cfg = config()
+        with pytest.raises(ValueError):
+            step_treasury(initial_state(cfg), cfg, 0, 0)
+
     @given(
-        cash0=st.integers(0, 10**8),
-        flows=st.lists(
-            st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+        cash0=st.integers(0, 10**6),
+        months=st.lists(
+            st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**10)),
             min_size=1,
             max_size=24,
         ),
+        outflows=st.tuples(*[st.integers(0, 4 * 10**5)] * 3),
+        apy=st.sampled_from([0.0, 0.05]) | st.floats(0.0, 2.0),
+        mode=st.sampled_from(SURVIVAL_MODES),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_ledger_identity_exact(self, cash0, flows):
-        # Independent raw recurrence tracking the breach-floor adjustments.
-        cfg = config(cash0_cents=cash0, horizon_months=len(flows))
+    @settings(max_examples=300, deadline=None)
+    def test_fold_matches_prefix_sum_reference(self, cash0, months, outflows, apy, mode):
+        opex, interest, capex = outflows
+        cfg = config(
+            cash0_cents=cash0,
+            opex_monthly_cents=opex,
+            interest_monthly_cents=interest,
+            capex_monthly_cents=capex,
+            horizon_months=len(months),
+            cash_yield_apy=apy,
+            survival_mode=mode,
+        )
         state = initial_state(cfg)
-        adjustments = 0
-        expected_cash = cash0
-        for inflow, outflow in flows:
-            state = step_treasury(state, cfg, 10_000_000, inflow, outflow)
-            expected_cash += inflow - outflow
-            if expected_cash < 0:
-                adjustments += -expected_cash
-                expected_cash = 0
-        assert state.cash_cents == expected_cash
-        assert (
-            state.cash_cents
-            == cash0
-            + state.cumulative_inflows_cents
-            - state.cumulative_outflows_cents
-            + adjustments
+        earned = [step_treasury(state, cfg, price, inflow) for inflow, price in months]
+
+        # Reference: yield on the floored balance, then plain prefix sums.
+        out = opex + interest + capex
+        floored = cash0
+        yields = []
+        for inflow, _ in months:
+            yields.append(monthly_yield_cents(floored, apy))
+            floored = max(0, floored + inflow + yields[-1] - out)
+        inflows = [inflow + y for (inflow, _), y in zip(months, yields)]
+        balances = [cash0 + sum(inflows[:k]) - out * k for k in range(1, len(months) + 1)]
+        negative = [k for k, b in enumerate(balances, start=1) if b < 0]
+        if mode == "pathwise":
+            breach = negative[0] if negative else None
+        else:
+            breach = len(months) if balances[-1] < 0 else None
+        sale = None
+        if breach is not None:
+            sale = math.ceil(Fraction(-balances[breach - 1] * SATS_PER_BTC, months[breach - 1][1]))
+
+        assert earned == yields
+        assert state.month == len(months)
+        assert state.cash_cents == floored
+        assert state.balance_cents == balances[-1]
+        assert state.min_cash_cents == min([cash0] + balances)
+        assert state.breach_month == breach
+        assert state.required_sale_sats == sale
+        verdict = no_forced_sale(cash0, inflows, [out] * len(months), mode)
+        assert verdict == SurvivalVerdict(
+            survives=breach is None,
+            breach_month=breach,
+            min_cash_cents=min([cash0] + balances),
+            terminal_cash_cents=balances[-1],
         )
 
     def test_sleeve_carved_from_total(self):
         cfg = config(btc_core_sats=1_000_000_000, sleeve_fraction=0.03)
         assert cfg.sleeve_sats == 30_000_000
-        state = initial_state(cfg)
-        assert state.btc_core_sats == 970_000_000
+        assert cfg.btc_core_sats - cfg.sleeve_sats == 970_000_000
 
 
 class TestYieldHelper:
