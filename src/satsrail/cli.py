@@ -4,9 +4,10 @@ Subcommands: ``simulate`` (scenario Monte Carlo), ``stress`` (single
 deterministic bear path), ``mnav`` (holdings analytics table), ``route``
 (route debugging), ``corr`` (price-series correlation).
 
-Exit codes: 0 success, 1 domain error (no route, bad data file, no date
-overlap), 2 usage error (bad flags, invalid config). Relative config paths
-not found locally are also tried under ``$SATSRAIL_CONFIG_DIR``.
+Exit codes: 0 success, 1 domain or file error (no route, bad data file, no
+date overlap; a file that cannot be read as UTF-8 text or written, as
+``error: <path>: ...``), 2 usage error (bad flags, invalid config). Relative
+config paths not found locally are also tried under ``$SATSRAIL_CONFIG_DIR``.
 """
 
 from __future__ import annotations
@@ -57,6 +58,15 @@ def _resolve_config(path_str: str) -> Path:
         if candidate.exists():
             return candidate
     return path
+
+
+def _load(loader, path):
+    """``loader(path)``; a file that is not UTF-8 text is an OSError naming it."""
+    try:
+        return loader(path)
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+        raise OSError(None, reason, path) from None
 
 
 def _positive_int(value: str) -> int:
@@ -200,10 +210,18 @@ def cmd_stress(args) -> int:
 MNAV_HEADER = f"{'TICKER':<8}{'BTC_HELD':>14}{'MKT_CAP_USD':>18}{'MNAV':>12}{'BTC_PER_SHARE':>16}"
 
 
+def _table_row(cells: list[str]) -> str:
+    """Fixed-width cells, with a space before a cell that would touch the last."""
+    line = cells[0]
+    for cell in cells[1:]:
+        line += cell if line.endswith(" ") or cell.startswith(" ") else " " + cell
+    return line
+
+
 def cmd_mnav(args) -> int:
     try:
-        rows = load_holdings_csv(args.holdings)
-    except (HoldingsCsvError, OSError) as exc:
+        rows = _load(load_holdings_csv, args.holdings)
+    except HoldingsCsvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     rows = sorted(rows, key=lambda r: -r.btc_held)
@@ -219,8 +237,15 @@ def cmd_mnav(args) -> int:
             per_share_str = f"{'':>16}"
             per_share_csv = ""
         print(
-            f"{row.ticker:<8}{row.btc_held:>14,.3f}{row.mkt_cap_cents // 100:>18,d}"
-            f"{ratio:>12.3f}{per_share_str}"
+            _table_row(
+                [
+                    f"{row.ticker:<8}",
+                    f"{row.btc_held:>14,.3f}",
+                    f"{row.mkt_cap_cents // 100:>18,d}",
+                    f"{ratio:>12.3f}",
+                    per_share_str,
+                ]
+            )
         )
         csv_lines.append(
             f"{row.ticker},{row.btc_held},{row.mkt_cap_cents // 100},"
@@ -268,9 +293,9 @@ def cmd_route(args) -> int:
 
 def cmd_corr(args) -> int:
     try:
-        series_a = load_price_csv(args.a)
-        series_b = load_price_csv(args.b)
-    except (PriceCsvError, OSError) as exc:
+        series_a = _load(load_price_csv, args.a)
+        series_b = _load(load_price_csv, args.b)
+    except PriceCsvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     xs, ys = inner_join(series_a, series_b)
@@ -296,6 +321,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an input or output file
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
 
 
 def run() -> None:

@@ -25,6 +25,7 @@ import functools
 import hashlib
 import json
 import math
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -220,7 +221,7 @@ class ScenarioConfig:
 
 
 # --------------------------------------------------------------------------
-# Config schema: one table parses the JSON shape and echoes it back
+# Config schema: the dataclasses declare the keys, and one table the exceptions
 # --------------------------------------------------------------------------
 
 _REQUIRED = object()
@@ -302,11 +303,33 @@ class _Key:
         return self.kind.echo(value)
 
 
-class _Section:
-    """A JSON object whose keys build one dataclass; other keys are errors."""
+# The section of each dataclass, filled at import: one JSON shape per class.
+_SECTIONS: dict[type, _Section] = {}
 
-    def __init__(self, cls: type, *keys: _Key):
-        self.cls, self.keys = cls, keys
+
+class _Section:
+    """A JSON object whose keys build one dataclass; other keys are errors.
+
+    Each field is the key its declaration gives unless one of ``overrides``
+    fills it: the field's name, its annotation as the kind and its default.
+    An ``X | None`` field takes null as its None default. A dataclass field
+    is that class's section, defaulting to ``{}`` if the field has a
+    ``default_factory``; a class's section must be made before it is used.
+    """
+
+    def __init__(self, cls: type, *overrides: _Key):
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        given = {k.field or k.name: k for k in overrides}
+        stray = sorted(set(given) - set(fields))
+        if stray or cls in _SECTIONS:
+            problem = f"no field {stray[0]!r}" if stray else "two sections"
+            raise TypeError(f"{cls.__name__} has {problem}")
+        _SECTIONS[cls] = self
+        hints = typing.get_type_hints(cls)
+        self.cls = cls
+        self.keys = tuple(
+            given.get(name) or _field_key(f, hints[name]) for name, f in fields.items()
+        )
 
     def names(self) -> set[str]:
         return set().union(*(k.names() for k in self.keys))
@@ -334,6 +357,21 @@ class _Section:
             else:
                 out[k.name] = value
         return out
+
+
+def _field_key(f: dataclasses.Field, hint) -> _Key:
+    """The key a dataclass field declares: its name, type and default."""
+    if type(None) in typing.get_args(hint):  # X | None
+        (hint,) = set(typing.get_args(hint)) - {type(None)}
+    if dataclasses.is_dataclass(hint):
+        kind = _SECTIONS.get(hint) or _Section(hint)
+        default = _REQUIRED if f.default_factory is dataclasses.MISSING else {}
+    elif hint in (bool, int, float, str):
+        kind = hint
+        default = _REQUIRED if f.default is dataclasses.MISSING else f.default
+    else:
+        raise TypeError(f"field {f.name!r} of type {hint} needs an explicit key")
+    return _Key(f.name, kind, default)
 
 
 class _OneOf:
@@ -377,31 +415,9 @@ _FEE_POLICY = _Section(
     _Key("base_msat", int, 0, "base_fee_msat"),
     _Key("ppm", int, 0, "proportional_millionths"),
 )
-_MERCHANT = _Section(
-    Merchant,
-    _Key("id", str),
-    _Key("monthly_gmv_cents", int),
-    _Key("take_rate_bps", int),
-    _Key("settle_mode", str, "fiat"),
-    _Key("sats_back_bps", int, 0),
-    _Key("active", bool, True),
-)
+_MERCHANT = _Section(Merchant)
 # A market's horizon defaults to the treasury's, which is parsed first.
 _HORIZON = _Key("horizon_months", int, lambda parsed: parsed["treasury.horizon_months"])
-_TREASURY = _Section(
-    TreasuryConfig,
-    _Key("btc_core_sats", int),
-    _Key("cash0_cents", int),
-    _Key("opex_monthly_cents", int),
-    _Key("horizon_months", int, 24),
-    _Key("interest_monthly_cents", int, 0),
-    _Key("capex_monthly_cents", int, 0),
-    _Key("sleeve_fraction", float, 0.03),
-    _Key("var_cap_fraction", float, 0.20),
-    _Key("var_confidence", float, 0.99),
-    _Key("cash_yield_apy", float, 0.0),
-    _Key("survival_mode", str, "pathwise"),
-)
 _MARKET = _OneOf(
     "model",
     gbm=_Section(
@@ -414,34 +430,8 @@ _MARKET = _OneOf(
         _HORIZON,
     ),
 )
-_TICKETS = _Section(  # its keys sit flat in "rail"
-    TicketParams,
-    _Key("median_ticket_cents", int, 5_000),
-    _Key("ticket_sigma", float, 0.8),
-    _Key("min_ticket_cents", int, 1),
-    _Key("max_ticket_cents", int, 10_000_000),
-)
-_RAIL = _Section(
-    RailEconomicsConfig,
-    _Key(None, _TICKETS, field="tickets"),
-    _Key("spread_bps", int, 5),
-    _Key("variable_cost_bps", int, 0),
-    _Key("base_churn", float, 0.0),
-    _Key("churn_sensitivity", float, 0.0),
-    _Key("max_route_retries", int, 3),
-)
-_TRIGGER = _Section(
-    StressTriggerConfig,
-    _Key("drawdown_threshold", float, 1.0),
-    _Key("shrink_target", float, 1.0),
-)
-_MONTE_CARLO = _Section(
-    MonteCarloConfig, _Key("num_paths", int, 1), _Key("master_seed", int, 0)
-)
-_REBALANCE = _Section(
-    RebalancePolicyConfig,
-    _Key("low_watermark", float, 0.0),
-    _Key("max_fee_bps", int, 50),
+_RAIL = _Section(  # the ticket keys sit flat in "rail"
+    RailEconomicsConfig, _Key(None, _Section(TicketParams), field="tickets")
 )
 _ROSTER = _Custom(
     lambda raw, key, ctx: load_merchants(raw, key),
@@ -451,21 +441,11 @@ _PEERS = _Custom(_parse_peers, lambda peers: [list(p) for p in peers])
 _GRAPH = _Custom(lambda raw, key, ctx: check_graph_spec(raw, key), lambda spec: spec)
 _SCENARIO = _Section(
     ScenarioConfig,
-    _Key("treasury", _TREASURY),
     _Key("market", _MARKET),
-    _Key("start_price_cents", int),
     _Key("graph", _GRAPH, field="graph_spec", path_key="graph_path"),
     _Key("merchants", _ROSTER, [], path_key="merchants_path"),
-    _Key("rail", _RAIL, {}),
-    _Key("stress_trigger", _TRIGGER, {}),
-    _Key("monte_carlo", _MONTE_CARLO, {}),
-    _Key("payment_cap_per_month", int, 500),
     _Key("sleeve_peers", _PEERS, None),
-    _Key("hub_fee_policy", _FEE_POLICY, {}),
-    _Key("peer_fee_policy", _FEE_POLICY, {}),
-    _Key("min_channel_msat", int, 1_000),
-    _Key("rebalance", _REBALANCE, {}, field="rebalance_policy"),
-    _Key("var_sigma_monthly", float, None),
+    _Key("rebalance", _Section(RebalancePolicyConfig), {}, field="rebalance_policy"),
 )
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .util import (
     ConfigError,
     apportion_largest_remainder,
-    canonical_json,
+    canonical_json,  # unused here; bench/tracer.py wraps lightning.canonical_json
     decimal_fraction,
     json_as,
 )
@@ -398,37 +398,6 @@ def build_graph(spec: Mapping) -> ChannelGraph:
         )
         graph.add_channel(ch)
     return graph
-
-
-def graph_to_spec(graph: ChannelGraph) -> dict:
-    """Canonical JSON-shaped description (sorted nodes and channel ids)."""
-    return {
-        "nodes": sorted(graph.nodes),
-        "hub": graph.hub,
-        "channels": [
-            {
-                "id": ch.id,
-                "a": ch.node_a,
-                "b": ch.node_b,
-                "capacity_msat": ch.capacity_msat,
-                "balance_a_msat": ch.balance_a_msat,
-                "policy_ab": {
-                    "base_msat": ch.policy_ab.base_fee_msat,
-                    "ppm": ch.policy_ab.proportional_millionths,
-                },
-                "policy_ba": {
-                    "base_msat": ch.policy_ba.base_fee_msat,
-                    "ppm": ch.policy_ba.proportional_millionths,
-                },
-                "open": ch.open,
-            }
-            for ch in sorted(graph.channels.values(), key=lambda c: c.id)
-        ],
-    }
-
-
-def dump_graph(graph: ChannelGraph) -> str:
-    return canonical_json(graph_to_spec(graph))
 
 
 def load_graph_file(path) -> ChannelGraph:

@@ -134,13 +134,24 @@ def stress_scenario_raw() -> dict:
     }
 
 
+class _Omit:
+    def __repr__(self) -> str:
+        return "OMIT"
+
+
+OMIT = _Omit()  # as a value for set_key: delete the key
+
+
 def set_key(raw: dict, dotted: str, value) -> dict:
     """Set a dotted key (list items by index) in a raw config; returns it."""
     *parents, last = dotted.split(".")
     node = raw
     for part in parents:
         node = node[int(part)] if isinstance(node, list) else node[part]
-    node[last] = value
+    if value is OMIT:
+        del node[last]
+    else:
+        node[last] = value
     return raw
 
 
@@ -165,6 +176,12 @@ MALFORMED_CONFIGS = [
     ("graph.channels.0.opne", False, "graph.channels[0].opne"),
     ("graph.channels.0.policy_ab.fee", 0, "graph.channels[0].policy_ab.fee"),
     ("graph.channels.0.capacity_msat", "lots", "graph.channels[0].capacity_msat"),
+    ("treasury", OMIT, "treasury"),
+    ("market", OMIT, "market"),
+    ("start_price_cents", OMIT, "start_price_cents"),
+    ("graph", OMIT, "graph"),
+    ("treasury.cash0_cents", OMIT, "treasury.cash0_cents"),
+    ("merchants.0.id", OMIT, "merchants[0].id"),
 ]
 
 

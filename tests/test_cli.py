@@ -277,6 +277,87 @@ class TestMnav:
         assert len(lines) == 11
 
 
+# `mnav --holdings data/btc_holdings_top10.csv --price 110300`: no value
+# overflows its column, so the table reads exactly as fixed-width columns.
+MNAV_TABLE_110300 = """\
+TICKER        BTC_HELD       MKT_CAP_USD        MNAV   BTC_PER_SHARE
+MSTR       640,808.000    77,395,000,000       1.095      0.00223146
+CEP         43,514.000     4,895,000,000       1.020      0.00016278
+MTPLF       30,823.000     3,663,000,000       1.077      0.00002701
+CEPO        30,021.000       215,000,000       0.065      0.00146444
+BLSH        24,300.000     5,725,000,000       2.136      0.00021464
+DJT         15,000.000     3,686,000,000       2.228      0.00006237
+CLSK        13,011.000     5,003,000,000       3.486      0.00004629
+TSLA        11,509.000 1,472,611,000,000    1160.045      0.00000357
+GDC          7,500.000        74,000,000       0.089      0.00044655
+CANG         6,394.000       691,000,000       0.980      0.00003712
+"""
+
+
+class TestMnavColumns:
+    def test_fixed_width_table_when_nothing_overflows(self, capsys):
+        assert main(["mnav", "--holdings", str(HOLDINGS_FIXTURE), "--price", "110300"]) == 0
+        assert capsys.readouterr().out == MNAV_TABLE_110300
+
+    @pytest.mark.parametrize("price", ["110300", "0.01"])
+    def test_every_column_stands_apart(self, price, tmp_path, capsys):
+        # At one cent an mNAV runs to 15 characters, wider than its column.
+        csv_out = tmp_path / "mnav.csv"
+        argv = ["mnav", "--holdings", str(HOLDINGS_FIXTURE), "--price", price]
+        assert main([*argv, "--csv", str(csv_out)]) == 0
+        table = capsys.readouterr().out.splitlines()[1:]
+        rows = [line.split(",") for line in csv_out.read_text().splitlines()[1:]]
+        assert len(table) == len(rows) == 10
+        for line, (ticker, btc, cap, ratio, per_share) in zip(table, rows):
+            cells = line.split()
+            assert cells[0] == ticker and len(cells) == 5
+            assert float(cells[1].replace(",", "")) == float(btc)
+            assert int(cells[2].replace(",", "")) == int(cap)
+            assert cells[3] == f"{float(ratio):.3f}"
+            assert cells[4] == per_share
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize(
+        "argv, culprit",
+        [
+            (["mnav", "--holdings", "LATIN1", "--price", "1"], "LATIN1"),
+            (["corr", "--a", "LATIN1", "--b", "PRICES"], "LATIN1"),
+            (["simulate", "--config", "CONFIG", "--out", "NODIR"], "NODIR"),
+            (["simulate", "--config", "CONFIG", "--out", "OUT", "--csv", "NODIR"], "NODIR"),
+            (["stress", "--config", "CONFIG", "--out", "NODIR"], "NODIR"),
+            (["stress", "--config", "CONFIG", "--out", "OUT", "--csv", "NODIR"], "NODIR"),
+            (["mnav", "--holdings", "HOLDINGS", "--price", "1", "--csv", "NODIR"], "NODIR"),
+        ],
+        ids=[
+            "mnav-holdings-not-utf8",
+            "corr-a-not-utf8",
+            "simulate-out-no-dir",
+            "simulate-csv-no-dir",
+            "stress-out-no-dir",
+            "stress-csv-no-dir",
+            "mnav-csv-no-dir",
+        ],
+    )
+    def test_exit_1_naming_the_file(self, argv, culprit, scenario_file, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes("date,price\n2024-01-01,1\n# caf\u00e9\n".encode("latin-1"))
+        prices = tmp_path / "prices.csv"
+        prices.write_text("date,price\n2024-01-01,1\n2024-01-02,2\n")
+        paths = {
+            "LATIN1": latin1,
+            "PRICES": prices,
+            "CONFIG": scenario_file,
+            "HOLDINGS": HOLDINGS_FIXTURE,
+            "OUT": tmp_path / "report.json",
+            "NODIR": tmp_path / "missing" / "out.file",
+        }
+        assert main([str(paths.get(arg, arg)) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[culprit]}: ")
+        assert err.count("\n") == 1
+
+
 class TestBadNumbers:
     @pytest.mark.parametrize(
         "argv, flag",

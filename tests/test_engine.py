@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from satsrail.engine import (
     write_report_csv,
     write_report_json,
 )
-from satsrail.lightning import build_graph
+from satsrail.lightning import FeePolicy, build_graph
 from satsrail.market import GbmParams
 from satsrail.money import SATS_PER_BTC
 from satsrail.rail import Merchant, month_rail_cashflow
@@ -520,6 +521,45 @@ class TestConfigSchema:
         )
         raw["merchants"] = [{"id": "shop", "monthly_gmv_cents": 4, "take_rate_bps": 5}]
         assert config_from_dict(raw).merchants == (Merchant("shop", 4, 5),)
+
+    def test_a_schema_exception_must_name_a_field(self):
+        @dataclasses.dataclass(frozen=True)
+        class Probe:
+            count: int = 0
+
+        with pytest.raises(TypeError, match="Probe has no field 'cuont'"):
+            engine._Section(Probe, engine._Key("cuont", int, 0))
+        with pytest.raises(TypeError, match="FeePolicy has two sections"):
+            engine._Section(FeePolicy)
+
+    def test_readme_defaults_are_the_echo(self):
+        # Every `"key": value // default...` line of README's schema block
+        # must read as the echo of a config that gives only required keys.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        raw = {
+            "treasury": {"btc_core_sats": 1, "cash0_cents": 2, "opex_monthly_cents": 3},
+            "market": {"model": "gbm"},
+            "start_price_cents": START_PRICE,
+            "graph": {"nodes": ["hub", "shop"], "hub": "hub", "channels": []},
+            "merchants": [{"id": "shop", "monthly_gmv_cents": 4, "take_rate_bps": 5}],
+        }
+        echo = config_from_dict(raw).to_dict()
+        echo["merchants"] = echo["merchants"][0]
+        section, checked = None, []
+        for line in block.splitlines():
+            opens = re.fullmatch(r'  "(\w+)": [{\[]', line)
+            if opens or re.match(r'  "', line):
+                section = opens and opens[1]
+            default = re.match(
+                r'\s*"(\w+)": (\{.*\}|[^,{}]+?)\s*}?,?\s*// defaults?\b', line
+            )
+            if default:
+                key, value = default.groups()
+                scope = echo if section is None else echo[section]
+                assert scope[key] == json.loads(value), line
+                checked.append(key)
+        assert len(checked) >= 22, checked
 
     def test_ints_pass_for_floats_and_integral_numbers_for_ints(self):
         raw = rich_raw_config(sleeve_peers=[["pay1", 2]])
