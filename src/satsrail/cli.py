@@ -6,8 +6,10 @@ deterministic bear path), ``mnav`` (holdings analytics table), ``route``
 
 Exit codes: 0 success, 1 domain or file error (no route, bad data file, no
 date overlap; a file that cannot be read as UTF-8 text or written, as
-``error: <path>: ...``), 2 usage error (bad flags, invalid config). Relative
-config paths not found locally are also tried under ``$SATSRAIL_CONFIG_DIR``.
+``error: <path>: ...``), 2 usage error (bad flags, invalid config). Output
+paths are checked before a scenario runs or a table prints, so a command
+that fails on one leaves no output. Relative config paths not found locally
+are also tried under ``$SATSRAIL_CONFIG_DIR``.
 """
 
 from __future__ import annotations
@@ -67,6 +69,22 @@ def _load(loader, path):
     except UnicodeDecodeError as exc:
         reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
         raise OSError(None, reason, path) from None
+
+
+def _check_writable(*paths) -> None:
+    """Raise the OSError that writing any of ``paths`` would, writing nothing.
+
+    Each path is opened for appending, which keeps an existing file's
+    contents; a file that this check creates is removed again.
+    """
+    for path in paths:
+        if path is None:
+            continue
+        existed = os.path.lexists(path)
+        with open(path, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(path)
 
 
 def _positive_int(value: str) -> int:
@@ -173,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_and_report(config, args) -> int:
+    _check_writable(args.out, args.csv)
     report = run_scenario(config)
     write_report_json(report, args.out)
     if args.csv:
@@ -224,6 +243,7 @@ def cmd_mnav(args) -> int:
     except HoldingsCsvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _check_writable(args.csv)
     rows = sorted(rows, key=lambda r: -r.btc_held)
     print(MNAV_HEADER)
     csv_lines = ["ticker,btc_held,mkt_cap_usd,mnav,btc_per_share"]
@@ -259,8 +279,8 @@ def cmd_mnav(args) -> int:
 
 def cmd_route(args) -> int:
     try:
-        graph = load_graph_file(args.graph)
-    except (OSError, ValueError) as exc:
+        graph = _load(load_graph_file, args.graph)
+    except ValueError as exc:  # malformed content; file errors reach main
         print(f"error: graph: {exc}", file=sys.stderr)
         return 1
     if args.src not in graph.nodes or args.dst not in graph.nodes:

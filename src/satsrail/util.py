@@ -7,7 +7,7 @@ import json
 import math
 from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 def apportion_largest_remainder(
@@ -55,45 +55,53 @@ _SCALARS = frozenset((str, int, float, bool, type(None)))
 _STR = frozenset((str,))
 
 
-@functools.cache
-def _level(depth: int) -> tuple:
-    """``(encode, newline + inner indent, newline + outer indent)`` at ``depth``.
+def compact_encoder(item_separator: str) -> Callable[[object], str]:
+    """The stdlib's compact encoder with ``item_separator`` between items.
 
-    ``encode`` is the stdlib's compact encoder with the item separator of a
-    container at ``depth``: on a container of scalars it gives the indented
-    text but for the newlines inside the brackets. No encoded value holds a
-    raw newline. The C encoder is built once here rather than on every
-    ``JSONEncoder.encode`` call, which costs more than a small container's
-    encode; without the C accelerator ``encode`` is the stdlib's own.
+    Keys sorted, NaN and infinities rejected, ASCII escapes: the text
+    ``json.dumps`` gives a scalar or a container of scalars, but for the
+    item separator. No encoded scalar holds a raw newline. The C encoder is
+    built once here rather than on every ``JSONEncoder.encode`` call, which
+    costs more than a small container's encode; without the C accelerator
+    the result is the stdlib's own ``encode``.
     """
-    inner = "\n" + "  " * (depth + 1)
     encoder = json.JSONEncoder(
         sort_keys=True,
         allow_nan=False,
         check_circular=False,
-        separators=("," + inner, ": "),
+        separators=(item_separator, ": "),
     )
     if c_make_encoder is None:
-        encode = encoder.encode
-    else:
-        # JSONEncoder.iterencode's own call; no markers, as check_circular
-        # is off.
-        c_encode = c_make_encoder(
-            None,
-            encoder.default,
-            encode_basestring_ascii,
-            None,
-            encoder.key_separator,
-            encoder.item_separator,
-            encoder.sort_keys,
-            encoder.skipkeys,
-            encoder.allow_nan,
-        )
+        return encoder.encode
+    # JSONEncoder.iterencode's own call; no markers, as check_circular is off.
+    c_encode = c_make_encoder(
+        None,
+        encoder.default,
+        encode_basestring_ascii,
+        None,
+        encoder.key_separator,
+        encoder.item_separator,
+        encoder.sort_keys,
+        encoder.skipkeys,
+        encoder.allow_nan,
+    )
 
-        def encode(obj) -> str:
-            return "".join(c_encode(obj, 0))
+    def encode(obj) -> str:
+        return "".join(c_encode(obj, 0))
 
-    return encode, inner, "\n" + "  " * depth
+    return encode
+
+
+@functools.cache
+def _level(depth: int) -> tuple:
+    """``(encode, newline + inner indent, newline + outer indent)`` at ``depth``.
+
+    ``encode`` is the compact encoder with the item separator of a container
+    at ``depth``: on a container of scalars it gives the indented text but
+    for the newlines inside the brackets.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    return compact_encoder("," + inner), inner, "\n" + "  " * depth
 
 
 def _indented(obj, depth: int, active: set) -> str:

@@ -317,6 +317,9 @@ class TestMnavColumns:
             assert cells[4] == per_share
 
 
+ROUTE_ARGS = ["--from", "A", "--to", "B", "--amount-sats", "1"]
+
+
 class TestFileErrors:
     @pytest.mark.parametrize(
         "argv, culprit",
@@ -328,6 +331,8 @@ class TestFileErrors:
             (["stress", "--config", "CONFIG", "--out", "NODIR"], "NODIR"),
             (["stress", "--config", "CONFIG", "--out", "OUT", "--csv", "NODIR"], "NODIR"),
             (["mnav", "--holdings", "HOLDINGS", "--price", "1", "--csv", "NODIR"], "NODIR"),
+            (["route", "--graph", "NOFILE", *ROUTE_ARGS], "NOFILE"),
+            (["route", "--graph", "LATIN1", *ROUTE_ARGS], "LATIN1"),
         ],
         ids=[
             "mnav-holdings-not-utf8",
@@ -337,9 +342,12 @@ class TestFileErrors:
             "stress-out-no-dir",
             "stress-csv-no-dir",
             "mnav-csv-no-dir",
+            "route-graph-missing",
+            "route-graph-not-utf8",
         ],
     )
     def test_exit_1_naming_the_file(self, argv, culprit, scenario_file, tmp_path, capsys):
+        # Fails before any output: no report file is left, nothing printed.
         latin1 = tmp_path / "latin1.csv"
         latin1.write_bytes("date,price\n2024-01-01,1\n# caf\u00e9\n".encode("latin-1"))
         prices = tmp_path / "prices.csv"
@@ -351,11 +359,21 @@ class TestFileErrors:
             "HOLDINGS": HOLDINGS_FIXTURE,
             "OUT": tmp_path / "report.json",
             "NODIR": tmp_path / "missing" / "out.file",
+            "NOFILE": tmp_path / "nope.json",
         }
         assert main([str(paths.get(arg, arg)) for arg in argv]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {paths[culprit]}: ")
-        assert err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {paths[culprit]}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not paths["OUT"].exists()
+
+    def test_an_existing_output_survives_a_failed_run(self, scenario_file, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("previous report")
+        argv = ["simulate", "--config", str(scenario_file), "--out", str(out)]
+        assert main([*argv, "--csv", str(tmp_path / "missing" / "s.csv")]) == 1
+        assert out.read_text() == "previous report"
 
 
 class TestBadNumbers:

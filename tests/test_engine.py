@@ -11,17 +11,23 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     MALFORMED_CONFIGS,
+    _sanitize,
     legacy_report_text,
     set_key,
     stdlib_canonical_json,
     stress_scenario_raw,
 )
-from satsrail import engine, treasury
+from satsrail import engine, treasury, util
 from satsrail.engine import (
     ConfigError,
+    KpiMonth,
+    MonthResult,
+    PathResult,
     ScenarioConfig,
     config_from_dict,
     kpi_month,
@@ -36,7 +42,7 @@ from satsrail.lightning import FeePolicy, build_graph
 from satsrail.market import GbmParams
 from satsrail.money import SATS_PER_BTC
 from satsrail.rail import Merchant, month_rail_cashflow
-from satsrail.treasury import TreasuryConfig
+from satsrail.treasury import TreasuryConfig, VarCheck
 from satsrail.treasury import no_forced_sale
 from satsrail.util import canonical_json
 
@@ -577,6 +583,15 @@ ORACLE_CONFIGS = {
     "cli_stress": stress_scenario_raw,
     "one_path": lambda: rich_raw_config(monte_carlo={"num_paths": 1, "master_seed": 4}),
     "odd_ids": odd_ids_raw_config,
+    "one_month": lambda: set_key(rich_raw_config(), "treasury.horizon_months", 1),
+    # Every path breaches at the horizon and must sell core BTC.
+    "terminal_breach": lambda: rich_raw_config(
+        treasury={
+            **rich_raw_config()["treasury"],
+            "opex_monthly_cents": 10**7,
+            "survival_mode": "terminal",
+        }
+    ),
 }
 
 
@@ -601,6 +616,122 @@ class TestReportBytes:
         merchants = [m["id"] for m in report_to_dict(report)["config"]["merchants"]]
         assert merchants == ["paths", 'q"uo\\te']
         assert "caf\u00e9-\u03a9" in report.config_echo["graph"]["nodes"]
+
+
+# Path record scalars: ints that are negative, beyond 2**64 or bools, and
+# floats of every form the encoders must agree on, the infinities included.
+ANY_INT = st.one_of(
+    st.integers(-(2**70), 2**70), st.sampled_from([-1, 2**64 + 1]), st.booleans()
+)
+COUNT = st.one_of(st.integers(0, 2**70), st.booleans())
+ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([math.inf, -math.inf, -0.0, 1e-05, 5e-324, 1e16]),
+)
+KPIS = st.builds(KpiMonth, ANY_INT, ANY_INT, *[ANY_FLOAT] * 6)
+RAIL_RECORDS = st.builds(  # settled never exceeds attempted
+    lambda month, n: month_rail_cashflow(month, n[0], max(n[1:3]), min(n[1:3]), *n[3:]),
+    ANY_INT,
+    st.lists(COUNT, min_size=9, max_size=9),
+)
+MONTHS = st.builds(
+    MonthResult,
+    month=ANY_INT,
+    price_cents=ANY_INT,
+    drawdown=ANY_FLOAT,
+    shrink_fired=st.booleans(),
+    freed_msat=ANY_INT,
+    sampled_tx=ANY_INT,
+    rail=RAIL_RECORDS,
+    kpi=KPIS,
+    rebal_volume_cents=ANY_INT,
+    yield_cents=ANY_INT,
+    cash_cents=ANY_INT,
+    sleeve_deployed_msat=ANY_INT,
+    var=st.builds(VarCheck, ANY_INT, ANY_INT, st.booleans(), ANY_INT),
+)
+PATHS = st.builds(
+    PathResult,
+    path_index=ANY_INT,
+    survives=st.booleans(),
+    breach_month=st.none() | ANY_INT,
+    min_cash_cents=ANY_INT,
+    terminal_cash_cents=ANY_INT,
+    required_sale_sats=st.none() | ANY_INT,
+    months=st.lists(MONTHS, max_size=30).map(tuple),
+    kpi_aggregate=KPIS.map(
+        lambda kpi: {k: v for k, v in dataclasses.asdict(kpi).items() if k != "month"}
+    ),
+)
+
+
+def stdlib_paths_json(paths) -> str:
+    """The ``paths`` text by the reference formula."""
+    return stdlib_canonical_json([_sanitize(dataclasses.asdict(p)) for p in paths])
+
+
+def engine_paths_json(paths) -> str:
+    return "[\n  " + ",\n  ".join(map(engine._path_json, paths)) + "\n]\n"
+
+
+class TestPathEncoding:
+    @given(PATHS)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_stdlib_formula(self, path):
+        assert engine_paths_json([path]) == stdlib_paths_json([path])
+
+    def test_matches_without_the_c_accelerator(self, monkeypatch):
+        paths = run_scenario(config_from_dict(empty_raw_config())).paths
+        paths += run_scenario(config_from_dict(rich_raw_config())).paths
+        monkeypatch.setattr(util, "c_make_encoder", None)
+        engine._path_codec.cache_clear()
+        try:
+            assert engine_paths_json(paths) == stdlib_paths_json(paths)
+        finally:
+            engine._path_codec.cache_clear()
+
+    @pytest.mark.parametrize("field", ["drawdown", "kpi", "kpi_aggregate"])
+    def test_nan_raises_value_error_in_both_encoders(self, field):
+        path = run_path(config_from_dict(rich_raw_config()), 0)
+        month = path.months[0]
+        if field == "drawdown":
+            month = dataclasses.replace(month, drawdown=math.nan)
+        elif field == "kpi":
+            kpi = dataclasses.replace(month.kpi, payment_success_rate=math.nan)
+            month = dataclasses.replace(month, kpi=kpi)
+        else:
+            path = dataclasses.replace(
+                path, kpi_aggregate={**path.kpi_aggregate, "gmv_cents": math.nan}
+            )
+        path = dataclasses.replace(path, months=(month, *path.months[1:]))
+        for encode in (engine_paths_json, stdlib_paths_json):
+            with pytest.raises(ValueError):
+                encode([path])
+
+    @pytest.mark.parametrize(
+        "misfit",
+        [
+            lambda p: dataclasses.replace(p, breach_month=(1,)),
+            lambda p: dataclasses.replace(p, breach_month=[]),
+            lambda p: with_aggregate(p, gmv_cents={"k": 1}),
+            lambda p: with_aggregate(p, gmv_cents={}),
+            lambda p: with_aggregate(p, extra=1),
+            lambda p: with_aggregate(p, gmv_cents=None),
+        ],
+        ids=["one-tuple", "empty-list", "one-dict", "empty-dict", "extra-key", "missing-key"],
+    )
+    def test_a_path_that_does_not_fit_its_template_raises(self, misfit):
+        # Never compact text or a silently dropped value.
+        path = misfit(run_path(config_from_dict(rich_raw_config()), 0))
+        with pytest.raises((TypeError, ValueError)):
+            engine._path_json(path)
+
+
+def with_aggregate(path: PathResult, **edits) -> PathResult:
+    """``path`` with its aggregate's keys edited; a None value drops the key."""
+    aggregate = {**path.kpi_aggregate, **edits}
+    aggregate = {k: v for k, v in aggregate.items() if v is not None}
+    return dataclasses.replace(path, kpi_aggregate=aggregate)
 
 
 class TestReports:
