@@ -126,6 +126,10 @@ class Channel:
             raise AssertionError(f"channel {self.id}: balance out of range")
 
 
+# How many hop distances a route index keeps cached, summed over senders.
+_HOP_CACHE_ENTRIES = 1 << 16
+
+
 @dataclass(frozen=True)
 class _RouteIndex:
     """Integer-indexed snapshot of the open topology, read by route search.
@@ -135,8 +139,15 @@ class _RouteIndex:
     node ``v`` as ``(prev, channel, capacity, base fee, ppm)``: the policy is
     the one ``prev`` charges for forwarding into that channel. Each list is
     sorted by base fee, then channel, so a search can stop scanning once the
-    base fee alone exceeds its bound. Balances are not indexed; the router
-    never reads them.
+    base fee alone exceeds its bound. ``neighbours[v]`` lists the ``prev``
+    of each of those directions, in the same order. ``min_base`` and
+    ``min_ppm`` are the smallest base fee and ppm over all open directions.
+    Balances are not indexed; the router never reads them.
+
+    The index also caches, per sender, the hop distances that bound a
+    search (:meth:`hops_past_first`), and the :class:`Hop` of each traced
+    direction. Both live and die with the index, so a topology change drops
+    them too.
     """
 
     nodes: tuple[str, ...]
@@ -144,6 +155,11 @@ class _RouteIndex:
     channel_ids: tuple[str, ...]
     channel_rank: dict[str, int]
     incoming: tuple[tuple[tuple[int, int, int, int, int], ...], ...]
+    neighbours: tuple[tuple[int, ...], ...]
+    min_base: int
+    min_ppm: int
+    _hops_past_first: dict[int, list[int]] = field(default_factory=dict, compare=False)
+    _hop_objects: dict[tuple[int, int], "Hop"] = field(default_factory=dict, compare=False)
 
     @classmethod
     def of(cls, graph: "ChannelGraph") -> "_RouteIndex":
@@ -158,14 +174,16 @@ class _RouteIndex:
             cap, ab, ba = ch.capacity_msat, ch.policy_ab, ch.policy_ba
             incoming[b].append((a, c, cap, ab.base_fee_msat, ab.proportional_millionths))
             incoming[a].append((b, c, cap, ba.base_fee_msat, ba.proportional_millionths))
+        incoming = [tuple(sorted(dirs, key=lambda d: (d[3], d[1]))) for dirs in incoming]
         return cls(
             nodes=nodes,
             node_rank=node_rank,
             channel_ids=tuple(ch.id for ch in open_channels),
             channel_rank={ch.id: c for c, ch in enumerate(open_channels)},
-            incoming=tuple(
-                tuple(sorted(dirs, key=lambda d: (d[3], d[1]))) for dirs in incoming
-            ),
+            incoming=tuple(incoming),
+            neighbours=tuple(tuple(d[0] for d in dirs) for dirs in incoming),
+            min_base=min((d[3] for dirs in incoming for d in dirs), default=0),
+            min_ppm=min((d[4] for dirs in incoming for d in dirs), default=0),
         )
 
     def directions(self, pairs: Iterable[tuple[str, str]]) -> set[tuple[int, int]]:
@@ -177,6 +195,34 @@ class _RouteIndex:
             if c is not None and v is not None:
                 out.add((c, v))
         return out
+
+    def hops_past_first(self, sender: int) -> list[int]:
+        """Per node rank, ``max(d - 1, 0)`` for ``d`` its hop distance from
+        ``sender`` over the open topology; ``len(nodes)`` when unreachable.
+
+        Kept for the most recently used senders, at most
+        ``_HOP_CACHE_ENTRIES`` distances in all.
+        """
+        cache = self._hops_past_first
+        far = cache.pop(sender, None)
+        if far is None:
+            n = len(self.nodes)
+            neighbours = self.neighbours
+            far = [n] * n
+            far[sender] = 0
+            frontier, level = [sender], 0
+            while frontier:
+                reached = []
+                for node in frontier:
+                    for prev in neighbours[node]:
+                        if far[prev] == n:
+                            far[prev] = level
+                            reached.append(prev)
+                frontier, level = reached, level + 1
+            if len(cache) >= max(1, _HOP_CACHE_ENTRIES // n):
+                del cache[next(iter(cache))]
+        cache[sender] = far
+        return far
 
 
 @dataclass
@@ -417,42 +463,63 @@ def _backward_search(
     exits: dict[int, list[tuple[int, int]]],
     skip: set[tuple[int, int]],
 ) -> tuple[list, tuple[int, int, int] | None]:
-    """Bounded backward Dijkstra from the receiver towards ``sender``.
+    """Bounded backward A* from the receiver towards ``sender``.
 
-    Heap entries are ``(R, node, next node, channel)``: R is the amount that
-    must enter ``node`` for the receiver to get its amount, ``node``'s own
-    forwarding fee included, when ``node`` forwards over ``channel`` to
-    ``next node``. ``start`` is the first entry. Entries pop in tuple order,
-    ranks standing for ids, and the first entry popped for a node settles
-    it, so each node keeps the continuation of its first-popped entry. A
-    direction is usable when its capacity covers the amount entering it and
-    ``(channel, prev)`` is not in ``skip``; the sender is never entered.
+    Heap entries are ``(key, R, node, next node, channel)``: R is the amount
+    that must enter ``node`` for the receiver to get its amount, ``node``'s
+    own forwarding fee included, when ``node`` forwards over ``channel`` to
+    ``next node``. ``start`` is the first entry's ``(R, node, next node,
+    channel)``. The key adds a lower bound on the fees still to come:
+    ``key = R + λ·max(d(node) - 1, 0)``, with ``d`` the hop distance from
+    the sender over the open topology (:meth:`_RouteIndex.hops_past_first`)
+    and ``λ = min_base + R_start·min_ppm // 1_000_000``. Every R is at least
+    the start's, so every hop fee is at least λ, and a route from ``node``
+    back to the sender pays at least ``d(node) - 1`` of them (the sender's
+    own hop is free).
 
+    Entries pop in tuple order, ranks standing for ids, and the first entry
+    popped for a node settles it, so each node keeps the continuation of its
+    first-popped entry. ``d`` changes by at most 1 per hop, so when λ > 0
+    (every fee positive) the key never falls along a route while R strictly
+    rises: a node pops only after every entry of smaller R for it was
+    pushed, and for one node the key orders its entries as R does. Each node
+    therefore settles with the same ``(R, next node, channel)`` as a plain
+    Dijkstra on R. When λ = 0 the key is R, and this is that Dijkstra. An
+    entry is pushed only when it beats the one already queued for its node;
+    the one popped first is the same.
+
+    A direction is usable when its capacity covers the amount entering it
+    and ``(channel, prev)`` is not in ``skip``; the sender is never entered.
     ``exits`` maps each neighbour the sender may pay into to its usable
     ``(channel, capacity)`` directions. The best exit is the smallest
-    ``(R, neighbour, channel)`` whose capacity covers R. Once one is settled
-    its R bounds the search: costlier pushes are skipped, and the search
-    stops when the cheapest entry left costs more, or when every exit is
-    settled. Entries of equal cost are still pushed and popped, so the
-    bound changes no settled node that could still become the best exit or
-    lie on its route.
+    ``(R, neighbour, channel)`` whose capacity covers R; an exit's key is its
+    R. Once one is settled its R bounds the search: entries keyed above it
+    are skipped, and the search stops when the smallest key left is above
+    it, or when every exit is settled. Entries keyed at the bound are still
+    pushed and popped, so the bound changes no settled node that could
+    still become the best exit or lie on its route.
 
     Returns ``(settled, best)``: the settled entry per node rank (None when
     unsettled) and the best exit, or None.
     """
     incoming = index.incoming
-    settled: list = [None] * len(index.nodes)
-    settled[sender] = start  # a marker: the sender is never entered
-    heap = [start]
+    n = len(index.nodes)
+    lam = index.min_base + start[0] * index.min_ppm // 1_000_000
+    far = index.hops_past_first(sender) if lam else [0] * n
+    first = (start[0] + lam * far[start[1]], *start)
+    settled: list = [None] * n
+    settled[sender] = first  # a marker: the sender is never entered
+    queued: list = [(math.inf,)] * n
+    heap = [first]
     bound = math.inf
     best = None
     pending = len(exits)
     while heap:
         entry = heapq.heappop(heap)
-        required, node = entry[0], entry[1]
+        key, required, node = entry[0], entry[1], entry[2]
         if settled[node] is not None:
             continue
-        if required > bound:
+        if key > bound:
             break
         settled[node] = entry
         usable = exits.get(node)
@@ -474,8 +541,12 @@ def _backward_search(
             if skip and (channel, prev) in skip:
                 continue
             cost += required * ppm // 1_000_000
-            if cost <= bound:
-                heapq.heappush(heap, (cost, prev, node, channel))
+            key = cost + lam * far[prev]
+            if key <= bound:
+                pushed = (key, cost, prev, node, channel)
+                if pushed < queued[prev]:
+                    queued[prev] = pushed
+                    heapq.heappush(heap, pushed)
     return settled, best
 
 
@@ -493,18 +564,20 @@ def _trace_route(
     """
     path, channels = [sender, first], [channel]
     while path[-1] != receiver:
-        _, _, nxt, via = settled[path[-1]]
+        _, _, _, nxt, via = settled[path[-1]]
         path.append(nxt)
         channels.append(via)
-    names, ids = index.nodes, index.channel_ids
-    hops = tuple(
-        Hop(ids[c], names[frm], names[to])
-        for c, frm, to in zip(channels, path, path[1:])
-    )
-    amounts = tuple(settled[v][0] for v in path[1:-1]) + (amount_msat,)
+    names, ids, known = index.nodes, index.channel_ids, index._hop_objects
+    hops = []
+    for c, frm, to in zip(channels, path, path[1:]):
+        hop = known.get((c, frm))
+        if hop is None:
+            hop = known[c, frm] = Hop(ids[c], names[frm], names[to])
+        hops.append(hop)
+    amounts = tuple(settled[v][1] for v in path[1:-1]) + (amount_msat,)
     fees = (0,) + tuple(amounts[i - 1] - amounts[i] for i in range(1, len(amounts)))
     return Route(
-        hops=hops,
+        hops=tuple(hops),
         amounts_msat=amounts,
         fees_msat=fees,
         total_fee_msat=amounts[0] - amount_msat,
@@ -527,13 +600,17 @@ def find_route(
     feasible route costs more than ``max_fee_msat``. ``excluded`` holds
     (channel_id, sending_node) directions to skip, for retry loops.
 
-    Among minimum-fee routes the choice is fixed by the search's pop order
-    ``(R, node, next node, channel)`` (see :func:`_backward_search`): the
+    Among minimum-fee routes the choice is fixed by the pop order
+    ``(R, node, next node, channel)`` of a plain backward Dijkstra on R: the
     sender pays into the smallest ``(R, neighbour id, channel id)``, and
     each node forwards along the continuation it settled with. When every
     hop costs at least 1 msat this is the lexicographically smallest route
     (node path, then channel ids); zero-fee hops can settle a node before a
-    lexicographically smaller continuation of equal cost is found.
+    lexicographically smaller continuation of equal cost is found. The
+    search itself is goal-directed (see :func:`_backward_search`): it adds
+    to R a lower bound on the fees still to come, from cached hop distances
+    to the sender, so it settles far fewer nodes, but each node it settles
+    keeps the Dijkstra's entry, and the route is the same.
     """
     if src == dst:
         raise ValueError("src and dst must differ")
@@ -581,7 +658,8 @@ def execute_payment(
         ch = graph.channels.get(hop.channel_id)
         if ch is None or not ch.open:
             raise StaleRouteError(f"channel {hop.channel_id} is closed or missing")
-        if {hop.from_node, hop.to_node} != {ch.node_a, ch.node_b}:
+        ends = (hop.from_node, hop.to_node)
+        if ends != (ch.node_a, ch.node_b) and ends != (ch.node_b, ch.node_a):
             raise StaleRouteError(f"channel {hop.channel_id} endpoints changed")
         channels.append(ch)
     for i, (hop, ch) in enumerate(zip(route.hops, channels)):

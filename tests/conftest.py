@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import heapq
 import json
 import math
 import random
@@ -12,7 +13,15 @@ from pathlib import Path
 import pytest
 
 from satsrail.engine import COVERAGE_ZERO_OPEX, ScenarioReport
-from satsrail.lightning import ChannelGraph, build_graph, hop_fee
+from satsrail.lightning import (
+    ChannelGraph,
+    FeeCapExceededError,
+    Hop,
+    NoRouteError,
+    Route,
+    build_graph,
+    hop_fee,
+)
 
 DATA_DIR = Path(__file__).parents[1] / "data"
 HOLDINGS_FIXTURE = DATA_DIR / "btc_holdings_top10.csv"
@@ -238,22 +247,32 @@ def triangle_graph() -> ChannelGraph:
 
 
 def random_graph_spec(
-    rng: random.Random, max_nodes: int = 8, zero_fee_share: float | None = None
+    rng: random.Random,
+    max_nodes: int = 8,
+    zero_fee_share: float | None = None,
+    free_base_share: float = 0.0,
+    density: float = 0.55,
 ) -> dict:
     """Random multigraph spec for oracle comparisons.
 
     By default a direction's base fee and ppm are drawn from 0 up. With
     ``zero_fee_share`` set, each direction is free (base 0, ppm 0) with that
     probability and otherwise charges a base fee of at least 1 msat; so at
-    ``zero_fee_share=0.0`` every hop costs at least 1 msat.
+    ``zero_fee_share=0.0`` every hop costs at least 1 msat. Then, with
+    probability ``free_base_share``, a direction's base fee is 0 and its ppm
+    at least 1. Each pair of nodes is joined with probability ``density``.
     """
 
     def policy() -> dict:
         if zero_fee_share is None:
-            return {"base_msat": rng.randrange(0, 2_000), "ppm": rng.randrange(0, 5_000)}
-        if rng.random() < zero_fee_share:
-            return {"base_msat": 0, "ppm": 0}
-        return {"base_msat": rng.randrange(1, 2_000), "ppm": rng.randrange(0, 5_000)}
+            drawn = {"base_msat": rng.randrange(0, 2_000), "ppm": rng.randrange(0, 5_000)}
+        elif rng.random() < zero_fee_share:
+            drawn = {"base_msat": 0, "ppm": 0}
+        else:
+            drawn = {"base_msat": rng.randrange(1, 2_000), "ppm": rng.randrange(0, 5_000)}
+        if free_base_share and rng.random() < free_base_share:
+            drawn = {"base_msat": 0, "ppm": rng.randrange(1, 5_000)}
+        return drawn
 
     n = rng.randint(2, max_nodes)
     nodes = [f"n{i}" for i in range(n)]
@@ -261,7 +280,7 @@ def random_graph_spec(
     cid = 0
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() >= 0.55:
+            if rng.random() >= density:
                 continue
             copies = 2 if rng.random() < 0.12 else 1
             for _ in range(copies):
@@ -364,3 +383,102 @@ def brute_force_rebalance(
     ]
     fees = [fee for fee in fees if fee is not None]
     return min(fees) if fees else None
+
+
+def reference_search(graph: ChannelGraph, start: tuple, sender: str, exits: dict, skip):
+    """The plain bounded backward Dijkstra the router must agree with.
+
+    Heap entries are ``(R, node, next node, channel id)`` over string ids;
+    the first entry popped for a node settles it. ``exits`` maps each node
+    the sender may pay into to its usable ``(channel id, capacity)``
+    directions; the best exit is the smallest ``(R, node, channel id)``
+    whose capacity covers R, and its R bounds the search. Returns
+    ``(settled, best)`` with ``settled`` a dict by node id. Reads only the
+    graph's public API, never the router's index.
+    """
+    settled = {sender: start}  # a marker: the sender is never entered
+    heap = [start]
+    bound = math.inf
+    best = None
+    pending = len(exits)
+    while heap:
+        entry = heapq.heappop(heap)
+        required, node = entry[0], entry[1]
+        if node in settled:
+            continue
+        if required > bound:
+            break
+        settled[node] = entry
+        if node in exits:
+            fits = [cid for cid, capacity in exits[node] if capacity >= required]
+            if fits and (best is None or (required, node, min(fits)) < best):
+                best, bound = (required, node, min(fits)), required
+            pending -= 1
+            if not pending:
+                break
+        for ch in graph.adjacent(node):
+            prev = ch.other(node)
+            if ch.capacity_msat < required or prev in settled or (ch.id, prev) in skip:
+                continue
+            cost = required + hop_fee(ch.policy_from(prev), required)
+            if cost <= bound:
+                heapq.heappush(heap, (cost, prev, node, ch.id))
+    return settled, best
+
+
+def _reference_trace(settled, sender, best, receiver, amount_msat) -> Route:
+    _, first, channel = best
+    path, channel_ids = [sender, first], [channel]
+    while path[-1] != receiver:
+        _, _, nxt, via = settled[path[-1]]
+        path.append(nxt)
+        channel_ids.append(via)
+    amounts = tuple(settled[v][0] for v in path[1:-1]) + (amount_msat,)
+    return Route(
+        hops=tuple(Hop(c, a, b) for c, a, b in zip(channel_ids, path, path[1:])),
+        amounts_msat=amounts,
+        fees_msat=(0,) + tuple(a - b for a, b in zip(amounts, amounts[1:])),
+        total_fee_msat=amounts[0] - amount_msat,
+    )
+
+
+def reference_find_route(
+    graph: ChannelGraph, src: str, dst: str, amount_msat: int, max_fee_msat=None, excluded=()
+) -> Route:
+    """``find_route`` through :func:`reference_search`, for valid arguments."""
+    skip = set(excluded)
+    exits: dict = {}
+    for ch in graph.adjacent(src):
+        if (ch.id, src) not in skip:
+            exits.setdefault(ch.other(src), []).append((ch.id, ch.capacity_msat))
+    settled, best = reference_search(graph, (amount_msat, dst, "", ""), src, exits, skip)
+    if best is None:
+        raise NoRouteError("no feasible route")
+    if max_fee_msat is not None and best[0] - amount_msat > max_fee_msat:
+        raise FeeCapExceededError("over the cap")
+    return _reference_trace(settled, src, best, dst, amount_msat)
+
+
+def reference_rebalance_route(
+    graph: ChannelGraph,
+    from_channel: str,
+    to_channel: str,
+    amount_msat: int,
+    max_fee_msat=None,
+) -> Route:
+    """The circular route ``rebalance`` must take, for a request that
+    passes its argument checks; the graph is not touched."""
+    hub = graph.hub
+    out_ch, in_ch = graph.channels[from_channel], graph.channels[to_channel]
+    if in_ch.capacity_msat < amount_msat:
+        raise NoRouteError("receiving channel capacity below amount")
+    peer_in = in_ch.other(hub)
+    entering = amount_msat + hop_fee(in_ch.policy_from(peer_in), amount_msat)
+    start = (entering, peer_in, hub, to_channel)
+    exits = {out_ch.other(hub): [(from_channel, out_ch.capacity_msat)]}
+    settled, best = reference_search(graph, start, hub, exits, set())
+    if best is None:
+        raise NoRouteError("no circular route")
+    if max_fee_msat is not None and best[0] - amount_msat > max_fee_msat:
+        raise FeeCapExceededError("over the cap")
+    return _reference_trace(settled, hub, best, hub, amount_msat)

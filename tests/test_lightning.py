@@ -16,14 +16,20 @@ from conftest import (
     chain_spec,
     graph_state,
     random_graph_spec,
+    reference_find_route,
+    reference_rebalance_route,
+    reference_search,
     triangle_spec,
 )
+from satsrail import lightning
 from satsrail.lightning import (
     Channel,
     FeeCapExceededError,
     FeePolicy,
     NoRouteError,
     PaymentStatus,
+    Route,
+    RoutingError,
     StaleRouteError,
     build_graph,
     deploy_sleeve,
@@ -371,6 +377,213 @@ class TestRouteIndexInvalidation:
         assert len(find_route(chain_graph, "A", "C", 1_000).hops) == 2
         with pytest.raises(NoRouteError):
             find_route(chain_graph, "A", "E", 1_000)
+
+
+    def test_hop_distances_follow_topology(self):
+        # A's cached hop distances bound the search. Each change below must
+        # reach them: distances kept from before a shortcut overstate the
+        # fees still to come and prune the new cheapest route, and node
+        # ranks shift when a node is added.
+        def chan(cid, a, b, base):
+            policy = {"base_msat": base, "ppm": 0}
+            return {
+                "id": cid,
+                "a": a,
+                "b": b,
+                "capacity_msat": 1_000_000_000,
+                "balance_a_msat": 500_000_000,
+                "policy_ab": dict(policy),
+                "policy_ba": dict(policy),
+            }
+
+        chain = "ABCDEF"
+        g = build_graph(
+            {
+                "nodes": [*chain, "X"],
+                "hub": "A",
+                "channels": [chan(a + b, a, b, 1000) for a, b in zip(chain, chain[1:])]
+                + [chan("AX", "A", "X", 1000), chan("XF", "X", "F", 2500)],
+            }
+        )
+
+        def check():
+            route = find_route(g, "A", "F", 1_000_000)
+            fee, node_path, channel_ids = brute_force_route(g, "A", "F", 1_000_000)
+            assert route.total_fee_msat == fee
+            assert ("A",) + tuple(h.to_node for h in route.hops) == node_path
+            assert tuple(h.channel_id for h in route.hops) == channel_ids
+            return channel_ids
+
+        assert check() == ("AX", "XF")
+        g.add_channel(Channel("AE", "A", "E", 10**9, 10**9, FeePolicy(1000), FeePolicy(1000)))
+        assert check() == ("AE", "EF")
+        g.close_channel("AE")
+        assert check() == ("AX", "XF")
+        g.add_node("0")  # sorts first: every rank moves up by one
+        assert check() == ("AX", "XF")
+        g.add_channel(Channel("0A", "0", "A", 10**9, 10**9, FeePolicy(1000), FeePolicy(1000)))
+        g.add_channel(Channel("0E", "0", "E", 10**9, 10**9, FeePolicy(500), FeePolicy(500)))
+        assert check() == ("0A", "0E", "EF")
+
+
+def _routing_outcome(call):
+    """A call's Route, or the class of the routing error it raised."""
+    try:
+        return call()
+    except RoutingError as exc:
+        return type(exc)
+
+
+class TestRouterDifferential:
+    """``find_route`` and ``rebalance`` return exactly the routes of the
+    plain bounded Dijkstra in conftest (hops, amounts and fees), or raise
+    the same error, whatever bound the goal-directed search uses."""
+
+    MIXES = [
+        {"zero_fee_share": 0.5},
+        {"zero_fee_share": 0.0},
+        {},
+        {"zero_fee_share": 0.0, "free_base_share": 0.5},
+        {"zero_fee_share": 0.2, "free_base_share": 0.5},
+    ]
+
+    @staticmethod
+    def _fee_floor(g, amount: int) -> tuple[int, int]:
+        """The least base fee over the open directions, and λ: the least
+        fee any hop can charge while carrying ``amount`` or more."""
+        policies = [
+            p for ch in g.channels.values() if ch.open for p in (ch.policy_ab, ch.policy_ba)
+        ]
+        min_base = min(p.base_fee_msat for p in policies)
+        min_ppm = min(p.proportional_millionths for p in policies)
+        return min_base, min_base + amount * min_ppm // 1_000_000
+
+    def test_routes_match_the_reference(self):
+        rng = random.Random(9)
+        seen = {"free_hops": 0, "free_base": 0, "paid": 0, "routes": 0, "errors": 0}
+        for trial in range(1500):
+            spec = random_graph_spec(
+                rng,
+                max_nodes=rng.choice((6, 10, 16)),
+                density=rng.choice((0.2, 0.35, 0.55)),
+                **self.MIXES[trial % len(self.MIXES)],
+            )
+            g = build_graph(spec)
+            if not g.channels:
+                continue
+            nodes = sorted(g.nodes)
+            for _ in range(4):
+                src, dst = rng.sample(nodes, 2)
+                amount = rng.randrange(1, 1_500_000)
+                cap = rng.choice((None, None, rng.randrange(0, 8_000)))
+                excluded = TestRoutingOracle._random_exclusions(rng, g)
+                min_base, lam = self._fee_floor(g, amount)
+                seen["free_hops" if not lam else "free_base" if not min_base else "paid"] += 1
+                got = _routing_outcome(lambda: find_route(g, src, dst, amount, cap, excluded))
+                want = _routing_outcome(
+                    lambda: reference_find_route(g, src, dst, amount, cap, excluded)
+                )
+                assert got == want, (trial, src, dst, amount, cap, excluded)
+                seen["routes" if isinstance(got, Route) else "errors"] += 1
+            hub_chs = sorted(ch.id for ch in g.hub_channels())
+            if len(hub_chs) < 2:
+                continue
+            out_id, in_id = rng.sample(hub_chs, 2)
+            hub_balance = g.channels[out_id].balance_from(g.hub)
+            if hub_balance == 0:
+                continue
+            amount = rng.randrange(1, hub_balance + 1)
+            cap = rng.choice((None, rng.randrange(0, 10_000)))
+            want = _routing_outcome(
+                lambda: reference_rebalance_route(g, out_id, in_id, amount, cap)
+            )
+            got = _routing_outcome(lambda: rebalance(g, out_id, in_id, amount, cap).route)
+            assert got == want, (trial, out_id, in_id, amount, cap)
+            seen["routes" if isinstance(got, Route) else "errors"] += 1
+        assert min(seen.values()) > 300, seen
+
+
+class TestSearchWork:
+    """How many nodes a search settles: no timing, only the count."""
+
+    @staticmethod
+    def grid(side: int, base: int, ppm: int):
+        policy = {"base_msat": base, "ppm": ppm}
+        name = [[f"g{y:02d}{x:02d}" for x in range(side)] for y in range(side)]
+        channels = []
+        for y in range(side):
+            for x in range(side):
+                for dy, dx in ((0, 1), (1, 0)):
+                    if y + dy < side and x + dx < side:
+                        channels.append(
+                            {
+                                "id": f"c{len(channels):04d}",
+                                "a": name[y][x],
+                                "b": name[y + dy][x + dx],
+                                "capacity_msat": 10**10,
+                                "balance_a_msat": 5 * 10**9,
+                                "policy_ab": dict(policy),
+                                "policy_ba": dict(policy),
+                            }
+                        )
+        nodes = [n for row in name for n in row]
+        return build_graph({"nodes": nodes, "hub": nodes[0], "channels": channels})
+
+    @staticmethod
+    def settled_by(monkeypatch, call) -> set:
+        """The nodes the router's search settles during ``call()``."""
+        names = set()
+        search = lightning._backward_search
+
+        def counting(index, start, sender, exits, skip):
+            settled, best = search(index, start, sender, exits, skip)
+            names.update(index.nodes[v] for v, e in enumerate(settled) if e is not None)
+            names.discard(index.nodes[sender])
+            return settled, best
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lightning, "_backward_search", counting)
+            call()
+        return names
+
+    @staticmethod
+    def reference_settled(g, src: str, dst: str, amount: int) -> set:
+        exits = {}
+        for ch in g.adjacent(src):
+            exits.setdefault(ch.other(src), []).append((ch.id, ch.capacity_msat))
+        settled, _ = reference_search(g, (amount, dst, "", ""), src, exits, set())
+        return set(settled) - {src}
+
+    def test_uniform_fees_settle_a_corridor(self, monkeypatch):
+        g = self.grid(20, 1000, 100)
+        src, dst = "g0302", "g0806"  # 9 hops apart
+        settled = self.settled_by(monkeypatch, lambda: find_route(g, src, dst, 10**6))
+        assert find_route(g, src, dst, 10**6) == reference_find_route(g, src, dst, 10**6)
+        assert len(self.reference_settled(g, src, dst, 10**6)) > 100
+        assert len(settled) <= 400 // 10
+
+    def test_hop_distance_cache_keeps_the_latest_senders(self, monkeypatch):
+        g = self.grid(5, 1000, 100)
+        monkeypatch.setattr(lightning, "_HOP_CACHE_ENTRIES", 3 * len(g.nodes))
+        senders = sorted(g.nodes)[:6]
+        for src in senders + senders[:1]:
+            find_route(g, src, "g0404", 10**6)
+        index = g.route_index()
+        cached = [index.nodes[v] for v in index._hops_past_first]
+        assert cached == senders[4:] + senders[:1]
+
+    def test_zero_fees_settle_the_reference_nodes(self, monkeypatch):
+        rng = random.Random(3)
+        cases = [(self.grid(20, 0, 0), "g0302", "g0806")]
+        for _ in range(30):
+            spec = random_graph_spec(rng, max_nodes=16, zero_fee_share=1.0, density=0.3)
+            g = build_graph(spec)
+            cases.append((g, *rng.sample(sorted(g.nodes), 2)))
+        for g, src, dst in cases:
+            settled = self.settled_by(
+                monkeypatch, lambda: _routing_outcome(lambda: find_route(g, src, dst, 1_000))
+            )
+            assert settled == self.reference_settled(g, src, dst, 1_000)
 
 
 class TestExecutePayment:
