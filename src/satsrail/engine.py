@@ -28,7 +28,6 @@ import json
 import math
 import operator
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -519,7 +518,6 @@ def kpi_month(
         raise ValueError("opex and rebalance volume must be non-negative")
     gmv = record.gmv_cents
     take = record.acquiring_fee_cents * 10_000 / gmv if gmv else 0.0
-    success = record.tx_settled / record.tx_count if record.tx_count else 1.0
     routing_rev = (
         record.routing_fee_cents * 100_000 / record.tx_count if record.tx_count else 0.0
     )
@@ -538,7 +536,7 @@ def kpi_month(
         month=record.month,
         gmv_cents=gmv,
         realized_take_rate_bps=take,
-        payment_success_rate=success,
+        payment_success_rate=record.success_rate,
         routing_revenue_per_100k_tx_cents=routing_rev,
         rebalancing_cost_bps=rebal_bps,
         merchant_churn_rate=churn_rate,
@@ -755,10 +753,9 @@ def run_path(config: ScenarioConfig, path_index: int) -> PathResult:
 
         earned = step_treasury(state, tcfg, price, record.net_inflow_cents)
 
-        success = record.tx_settled / record.tx_count if record.tx_count else 1.0
         merchants, churn_rate = apply_churn(
             merchants,
-            success,
+            record.success_rate,
             rail_seed,
             month,
             base_churn=config.rail.base_churn,
@@ -976,6 +973,9 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> Scenario
     n = config.monte_carlo.num_paths
     if workers is not None and workers > 1:
         config.validate()
+        # Imported here: it costs ~25 ms of start-up that a serial run never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_path, [config] * n, range(n)))
     else:

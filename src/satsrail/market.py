@@ -87,7 +87,7 @@ def gen_gbm_path(params: GbmParams, start_price_cents: int, seed: int) -> PriceP
     """Generate one GBM path; a pure function of (params, start, seed).
 
     Monthly step: ``p[t+1] = p[t] * exp((mu - sigma^2/2) * dt + sigma *
-    sqrt(dt) * Z)`` with ``dt = 1/12`` and Z standard normal from a PCG64
+    sqrt(dt) * Z)`` with ``dt = 1/12`` and Z standard normal from the keyed
     stream (see :mod:`satsrail.rng`). Each step is rounded to whole cents
     and floored at 1 cent before the next step compounds on it.
     """
@@ -96,10 +96,9 @@ def gen_gbm_path(params: GbmParams, start_price_cents: int, seed: int) -> PriceP
     dt = 1.0 / MONTHS_PER_YEAR
     drift = (params.mu - params.sigma**2 / 2.0) * dt
     vol = params.sigma * math.sqrt(dt)
-    z = stream(seed).standard_normal(params.horizon_months)
     prices = [start_price_cents]
-    for t in range(params.horizon_months):
-        nxt = prices[-1] * math.exp(drift + vol * z[t])
+    for z in stream(seed).normals(params.horizon_months):
+        nxt = prices[-1] * math.exp(drift + vol * z)
         prices.append(max(1, round_half_up(nxt)))
     return PricePath(tuple(prices))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .money import cents_to_msat, floor_bps, MSAT_PER_BTC
-from .rng import child_seed, stream
+from .rng import child_seed, stream, uniform
 from .util import apportion_largest_remainder
 
 CARD_COST_BPS_RANGE = (200, 300)
@@ -137,20 +137,17 @@ def gen_monthly_payments(
         if count == 0:
             continue
         rng = stream(child_seed(seed, month, m.id))
-        draws = rng.lognormal(
-            mean=math.log(params.median_ticket_cents), sigma=params.ticket_sigma, size=count
+        draws = rng.lognormals(
+            math.log(params.median_ticket_cents), params.ticket_sigma, count
         )
-        payer_idx = rng.integers(0, len(payer_nodes), size=count)
-        for k in range(count):
-            cents = int(
-                min(
-                    params.max_ticket_cents,
-                    max(params.min_ticket_cents, math.floor(draws[k] + 0.5)),
-                )
+        for draw, payer in zip(draws, rng.indices(len(payer_nodes), count)):
+            cents = min(
+                params.max_ticket_cents,
+                max(params.min_ticket_cents, math.floor(draw + 0.5)),
             )
             requests.append(
                 PaymentRequest(
-                    payer=payer_nodes[int(payer_idx[k])],
+                    payer=payer_nodes[payer],
                     merchant=m.id,
                     amount_msat=cents_to_msat(cents, price_cents_per_btc),
                 )
@@ -212,7 +209,7 @@ def apply_churn(
             updated.append(m)
             continue
         active_before += 1
-        u = stream(child_seed(seed, month, m.id, "churn")).random()
+        u = uniform(child_seed(seed, month, m.id, "churn"))
         if u < p:
             churned += 1
             updated.append(replace(m, active=False))
@@ -264,6 +261,11 @@ class RailMonthRecord:
         )
         if self.net_inflow_cents != expected:
             raise ValueError("net inflow does not match its components")
+
+    @property
+    def success_rate(self) -> float:
+        """Settled over attempted transactions; 1.0 when none were attempted."""
+        return self.tx_settled / self.tx_count if self.tx_count else 1.0
 
 
 def month_rail_cashflow(

@@ -1,18 +1,26 @@
 """Deterministic seed derivation and random stream construction.
 
-Every stochastic component in the simulator draws from a numpy ``Generator``
-backed by the PCG64 bit generator, a named, documented algorithm with a
-stable bitstream for a fixed numpy version. Substream seeds are derived by
-hashing the parent seed together with integer or string tags via SHA-256,
-so distinct (seed, path, month, entity) combinations get independent streams
+Every stochastic component in the simulator draws through a :class:`Stream`
+or a keyed :func:`uniform`, and every draw is made from uniforms alone: a
+``random.Random`` seeded with an integer is a Mersenne Twister whose
+``random()`` sequence Python promises to keep across versions. Normals come
+from the normal quantile of a uniform, lognormals from ``exp`` of a normal,
+and indices from scaling a uniform. Substream seeds are derived by hashing
+the parent seed together with integer or string tags via SHA-256, so
+distinct (seed, path, month, entity) combinations get independent streams
 without any shared RNG state.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import random
+from statistics import NormalDist
 
-import numpy as np
+# random() can return 0.0, whose normal quantile is -inf, but never 1.0.
+_SMALLEST_UNIFORM = 2.0**-53
+_normal_quantile = NormalDist().inv_cdf
 
 
 def child_seed(*keys: int | str) -> int:
@@ -39,6 +47,34 @@ def child_seed(*keys: int | str) -> int:
     return int.from_bytes(h.digest()[:8], "big")
 
 
-def stream(*keys: int | str) -> np.random.Generator:
-    """Return a PCG64 generator seeded from the given key tuple."""
-    return np.random.Generator(np.random.PCG64(child_seed(*keys)))
+class Stream:
+    """The three draws the simulator makes, from one seeded uniform sequence."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, seed: int):
+        self.random = random.Random(seed).random
+
+    def normals(self, n: int) -> list[float]:
+        """``n`` standard normal draws, by inversion."""
+        u = self.random
+        return [_normal_quantile(u() or _SMALLEST_UNIFORM) for _ in range(n)]
+
+    def lognormals(self, mu: float, sigma: float, n: int) -> list[float]:
+        """``n`` draws of ``exp(mu + sigma * Z)`` with Z standard normal."""
+        return [math.exp(mu + sigma * z) for z in self.normals(n)]
+
+    def indices(self, k: int, n: int) -> list[int]:
+        """``n`` indices drawn uniformly from ``range(k)``, for ``k <= 2**53``."""
+        u = self.random
+        return [int(u() * k) for _ in range(n)]
+
+
+def stream(*keys: int | str) -> Stream:
+    """Return the stream seeded from the given key tuple."""
+    return Stream(child_seed(*keys))
+
+
+def uniform(*keys: int | str) -> float:
+    """One uniform draw in [0, 1): the top 53 bits of the keys' seed."""
+    return (child_seed(*keys) >> 11) * 2.0**-53

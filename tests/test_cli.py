@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -592,3 +596,31 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             main(["corr", "--bogus"])
         assert exc.value.code == 2
+
+
+STDLIB_ONLY_RUN = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import satsrail
+import satsrail.cli
+code = satsrail.cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]])
+print("pool imported" if "concurrent.futures.process" in sys.modules else "no pool")
+sys.exit(code)
+"""
+
+
+class TestStandardLibraryOnly:
+    def test_simulate_runs_without_numpy_or_a_pool(self, tmp_path):
+        # A fresh interpreter: this one has numpy and the pool loaded already.
+        src = Path(__file__).parents[1] / "src"
+        config = Path(__file__).parent / "golden" / "rail_hub_tiny" / "config.json"
+        done = subprocess.run(
+            [sys.executable, "-c", STDLIB_ONLY_RUN, str(config), str(tmp_path / "r.json")],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "no pool"
+        assert (tmp_path / "r.json").exists()

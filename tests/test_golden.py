@@ -1,0 +1,104 @@
+"""Golden replays: each committed config reproduces its committed report bytes.
+
+For a fixed config and seed the report is the behaviour contract. Each case
+directory under ``tests/golden/`` holds a scenario ``config.json`` beside the
+``report.json`` and ``report.csv`` that ``satsrail simulate`` writes for it;
+this test runs every case again and compares bytes, so a change in behaviour
+fails here by case name and first differing line.
+
+The cases:
+
+- ``rail_hub_tiny``, ``mesh_stress_tiny``, ``many_paths_tiny``: the
+  ``--size tiny`` shapes of the three benchmark workloads at seed 31, stored
+  as JSON so that the benchmark's generators can change without moving a
+  golden. All their paths survive.
+- ``stress_headline``: the -70% linear bear over 24 months, with churn,
+  a stress-triggered sleeve shrink, and a pathwise breach.
+- ``terminal_breach``: eight GBM paths in ``terminal`` survival mode, half
+  of which breach and report a required sale.
+
+A deliberate behaviour change regenerates the fixtures, and CHANGES.md says
+why::
+
+    PYTHONPATH=src python tests/test_golden.py
+
+``made_with.json`` records the Python version that wrote them.
+"""
+
+from __future__ import annotations
+
+import json
+import platform
+from pathlib import Path
+
+import pytest
+
+from satsrail.engine import (
+    load_config_file,
+    run_scenario,
+    write_report_csv,
+    write_report_json,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = (
+    "rail_hub_tiny",
+    "mesh_stress_tiny",
+    "many_paths_tiny",
+    "stress_headline",
+    "terminal_breach",
+)
+OUTPUTS = ("report.json", "report.csv")
+MADE_WITH = GOLDEN / "made_with.json"
+
+
+def render(case: str, out_dir: Path) -> None:
+    """Write the case's ``report.json`` and ``report.csv`` into ``out_dir``."""
+    report = run_scenario(load_config_file(GOLDEN / case / "config.json"))
+    write_report_json(report, out_dir / "report.json")
+    write_report_csv(report, out_dir / "report.csv")
+
+
+def first_difference(expected: bytes, actual: bytes) -> str:
+    """The first line at which two texts differ, numbered from 1."""
+    want = expected.decode("utf-8").splitlines()
+    got = actual.decode("utf-8").splitlines()
+    for number, (a, b) in enumerate(zip(want, got), start=1):
+        if a != b:
+            return f"line {number}: expected {a[:160]!r}, got {b[:160]!r}"
+    return f"line {min(len(want), len(got)) + 1}: {len(want)} lines expected, {len(got)} written"
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_replay_matches_golden(case, tmp_path):
+    render(case, tmp_path)
+    made_with = json.loads(MADE_WITH.read_text(encoding="utf-8"))["python"]
+    for name in OUTPUTS:
+        expected = (GOLDEN / case / name).read_bytes()
+        actual = (tmp_path / name).read_bytes()
+        if actual != expected:
+            pytest.fail(
+                f"{case}/{name} differs from the golden at "
+                f"{first_difference(expected, actual)}. The fixtures were made "
+                f"with Python {made_with}; this is Python "
+                f"{platform.python_version()}.",
+                pytrace=False,
+            )
+
+
+def test_first_difference_names_the_line():
+    assert first_difference(b"a\nb\nc\n", b"a\nx\nc\n") == "line 2: expected 'b', got 'x'"
+    assert first_difference(b"a\nb\n", b"a\n") == "line 2: 2 lines expected, 1 written"
+
+
+def regenerate() -> None:
+    for case in CASES:
+        render(case, GOLDEN / case)
+        print(f"wrote {GOLDEN / case}")
+    MADE_WITH.write_text(
+        json.dumps({"python": platform.python_version()}) + "\n", encoding="utf-8"
+    )
+
+
+if __name__ == "__main__":
+    regenerate()
