@@ -1,10 +1,12 @@
 """Scenario orchestration: per-path monthly loop and Monte Carlo rollup.
 
-Each path owns a fresh channel graph and merchant roster and walks the
-horizon month by month: price step, stress trigger, payment batch, hedged
-settlement, treasury step, churn, VaR compliance check. Paths are pure
-functions of (config, master seed, path index), so scenarios can run
-serially or in a process pool with byte-identical reports.
+Each path owns a copy of the config's starting graph (the spec's channels
+with the sleeve deployed, built once when the config is made) and its own
+merchant roster, and walks the horizon month by month: price step, stress
+trigger, payment batch, hedged settlement, treasury step, churn, VaR
+compliance check. Paths are pure functions of (config, master seed, path
+index), so scenarios can run serially or in a process pool with
+byte-identical reports.
 
 Two accounting planes coexist and are reconciled, never mixed:
 
@@ -39,7 +41,6 @@ from .lightning import (
     PaymentStatus,
     RoutingError,
     build_graph,
-    check_graph_spec,
     deploy_sleeve,
     rebalance,
     send_payment,
@@ -149,7 +150,7 @@ class RailEconomicsConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything a scenario needs; validated up front."""
+    """Everything a scenario needs; checked, and its graph built, when made."""
 
     treasury: TreasuryConfig
     market: GbmParams | StressShape
@@ -169,11 +170,10 @@ class ScenarioConfig:
     )
     var_sigma_monthly: float | None = None
 
-    def validate(self) -> None:
-        self._validated_graph()
+    # The spec's graph with the sleeve deployed; each path runs on a copy.
+    _graph: ChannelGraph = field(init=False, repr=False, compare=False)
 
-    def _validated_graph(self) -> ChannelGraph:
-        """Validate and return the graph built from ``graph_spec`` on the way."""
+    def __post_init__(self):
         if self.start_price_cents <= 0:
             raise ConfigError("start_price_cents", "must be positive")
         if self.payment_cap_per_month < 1:
@@ -184,17 +184,18 @@ class ScenarioConfig:
                 f"market horizon {self.market.horizon_months} differs from "
                 f"treasury horizon {self.treasury.horizon_months}",
             )
-        try:
-            graph = build_graph(self.graph_spec)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError("graph", str(exc)) from None
-        for m in self.merchants:
+        graph = build_graph(self.graph_spec, "graph")
+        seen = set()
+        for i, m in enumerate(self.merchants):
             if m.id == graph.hub:
                 raise ConfigError("merchants", f"merchant {m.id!r} cannot be the hub")
             if m.id not in graph.nodes:
                 raise ConfigError(
                     "merchants", f"merchant {m.id!r} is not a graph node"
                 )
+            if m.id in seen:
+                raise ConfigError(f"merchants[{i}].id", "duplicate merchant id")
+            seen.add(m.id)
         if self.sleeve_peers is not None:
             for peer, weight in self.sleeve_peers:
                 if peer == graph.hub:
@@ -203,7 +204,23 @@ class ScenarioConfig:
                     raise ConfigError("sleeve_peers", f"weight for {peer!r} not positive")
         if self.var_sigma_monthly is not None and self.var_sigma_monthly < 0:
             raise ConfigError("var_sigma_monthly", "must be non-negative")
-        return graph
+        sleeve_msat = self.treasury.sleeve_sats * MSAT_PER_SAT
+        peers = self.sleeve_peers
+        if peers is None:
+            peers = [(node, 1.0) for node in sorted(graph.nodes - {graph.hub})]
+        if sleeve_msat > 0 and peers:
+            try:
+                deploy_sleeve(
+                    graph,
+                    sleeve_msat,
+                    peers,
+                    hub_policy=self.hub_fee_policy,
+                    peer_policy=self.peer_fee_policy,
+                    min_channel_msat=self.min_channel_msat,
+                )
+            except ValueError as exc:
+                raise ConfigError("sleeve_peers", str(exc)) from None
+        object.__setattr__(self, "_graph", graph)
 
     def sigma_monthly(self) -> float:
         """Monthly volatility used by the VaR check.
@@ -320,7 +337,7 @@ class _Section:
     """
 
     def __init__(self, cls: type, *overrides: _Key):
-        fields = {f.name: f for f in dataclasses.fields(cls)}
+        fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
         given = {k.field or k.name: k for k in overrides}
         stray = sorted(set(given) - set(fields))
         if stray or cls in _SECTIONS:
@@ -347,6 +364,8 @@ class _Section:
         kwargs = {k.field or k.name: k.read(raw, key, ctx) for k in self.keys}
         try:
             return self.cls(**kwargs)
+        except ConfigError:
+            raise
         except ValueError as exc:
             raise ConfigError(key, str(exc)) from None
 
@@ -440,11 +459,10 @@ _ROSTER = _Custom(
     lambda merchants: [_MERCHANT.echo(m) for m in merchants],
 )
 _PEERS = _Custom(_parse_peers, lambda peers: [list(p) for p in peers])
-_GRAPH = _Custom(lambda raw, key, ctx: check_graph_spec(raw, key), lambda spec: spec)
 _SCENARIO = _Section(
     ScenarioConfig,
     _Key("market", _MARKET),
-    _Key("graph", _GRAPH, field="graph_spec", path_key="graph_path"),
+    _Key("graph", dict, field="graph_spec", path_key="graph_path"),
     _Key("merchants", _ROSTER, [], path_key="merchants_path"),
     _Key("sleeve_peers", _PEERS, None),
     _Key("rebalance", _Section(RebalancePolicyConfig), {}, field="rebalance_policy"),
@@ -459,9 +477,7 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:
     directory). An unknown key, a wrong JSON type or a non-integral number
     for an integer is a ``ConfigError`` naming the dotted key.
     """
-    config = _SCENARIO.parse(raw, "", _Ctx(Path(base_dir or ".")))
-    config.validate()
-    return config
+    return _SCENARIO.parse(raw, "", _Ctx(Path(base_dir or ".")))
 
 
 def load_merchants(raw, key: str) -> tuple[Merchant, ...]:
@@ -585,27 +601,6 @@ def _price_path(config: ScenarioConfig, path_index: int) -> PricePath:
     return gen_stress_path(config.market, config.start_price_cents)
 
 
-def _setup_graph(config: ScenarioConfig) -> ChannelGraph:
-    """Validate ``config`` and deploy the sleeve on the graph that built."""
-    graph = config._validated_graph()
-    sleeve_msat = config.treasury.sleeve_sats * MSAT_PER_SAT
-    if sleeve_msat > 0:
-        peers = config.sleeve_peers
-        if peers is None:
-            candidates = sorted(graph.nodes - {graph.hub})
-            peers = tuple((node, 1.0) for node in candidates)
-        if peers:
-            deploy_sleeve(
-                graph,
-                sleeve_msat,
-                list(peers),
-                hub_policy=config.hub_fee_policy,
-                peer_policy=config.peer_fee_policy,
-                min_channel_msat=config.min_channel_msat,
-            )
-    return graph
-
-
 def _run_rebalances(
     graph: ChannelGraph, policy: RebalancePolicyConfig
 ) -> tuple[int, int]:
@@ -650,7 +645,7 @@ class _MerchantTally:
 
 def run_path(config: ScenarioConfig, path_index: int) -> PathResult:
     """Run one simulation path; deterministic in (config, seed, index)."""
-    graph = _setup_graph(config)
+    graph = config._graph.copy()
     tcfg = config.treasury
     path = _price_path(config, path_index)
     merchants = list(config.merchants)
@@ -965,14 +960,13 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> Scenario
 
     ``workers`` > 1 fans paths out to a process pool; results are merged
     sorted by path index, so parallel and serial runs emit byte-identical
-    reports. A serial run validates in path 0's ``run_path``; a parallel one
-    validates before it starts the pool. Each path is encoded once, with one
-    C-encoder call that fills a template derived from the record
+    reports. Every path starts from a copy of the graph the config built
+    when it was made, so none rebuilds it. Each path is encoded once, with
+    one C-encoder call that fills a template derived from the record
     dataclasses' fields, and hashed as part of ``paths_json``.
     """
     n = config.monte_carlo.num_paths
     if workers is not None and workers > 1:
-        config.validate()
         # Imported here: it costs ~25 ms of start-up that a serial run never uses.
         from concurrent.futures import ProcessPoolExecutor
 

@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .util import (
     ConfigError,
@@ -277,6 +277,15 @@ class ChannelGraph:
         self._route_index = None
         return ch
 
+    def copy(self) -> "ChannelGraph":
+        """The same nodes, channels and balances, sharing no mutable state."""
+        return ChannelGraph(
+            nodes=set(self.nodes),
+            hub=self.hub,
+            channels={cid: Channel(**vars(ch)) for cid, ch in self.channels.items()},
+            _adjacency={node: list(ids) for node, ids in self._adjacency.items()},
+        )
+
     def route_index(self) -> _RouteIndex:
         """The route-search view of the current topology."""
         if self._route_index is None:
@@ -361,94 +370,91 @@ class PaymentResult:
 # --------------------------------------------------------------------------
 
 
-# The keys each object of a graph spec takes, with their JSON types, and
-# the ones it may omit.
-_SPEC_KEYS = ({"nodes": list, "hub": str, "channels": list}, {"nodes", "channels"})
-_CHANNEL_KEYS = (
-    {
-        "id": str,
-        "a": str,
-        "b": str,
-        "capacity_msat": int,
-        "balance_a_msat": int,
-        "policy_ab": dict,
-        "policy_ba": dict,
-        "open": bool,
-    },
-    {"open"},
+# The keys each object of a graph spec may hold.
+_SPEC_KEYS = frozenset(("nodes", "hub", "channels"))
+_CHANNEL_KEYS = frozenset(
+    ("id", "a", "b", "capacity_msat", "balance_a_msat", "policy_ab", "policy_ba", "open")
 )
-_POLICY_KEYS = ({"base_msat": int, "ppm": int}, set())
+_POLICY_KEYS = frozenset(("base_msat", "ppm"))
+_MISSING = object()
 
 
-def _check_object(raw, key: str, shape: tuple[dict, set]) -> None:
-    kinds, optional = shape
-    raw = json_as(dict, raw, key)
-    prefix = f"{key}." if key else ""
-    unknown = raw.keys() - kinds.keys()
-    if unknown:
-        raise ConfigError(prefix + min(unknown), "unknown key")
-    for name, kind in kinds.items():
-        if name in raw:
-            json_as(kind, raw[name], prefix + name)
-        elif name not in optional:
-            raise ConfigError(prefix + name, "missing required key")
+def _check_keys(raw, key: str, names: frozenset) -> None:
+    """Check that ``raw`` is a JSON object with no key outside ``names``."""
+    if type(raw) is not dict:
+        json_as(dict, raw, key)
+    if not raw.keys() <= names:
+        prefix = f"{key}." if key else ""
+        raise ConfigError(prefix + min(raw.keys() - names), "unknown key")
 
 
-def check_graph_spec(spec, key: str = "") -> dict:
-    """``spec`` itself, once its shape is checked.
+def _value(raw: dict, name: str, kind: type, key: str, default=_MISSING):
+    """``raw[name]`` as ``kind``; the dotted key is formatted only for an error."""
+    value = raw.get(name, default)
+    if type(value) is kind:
+        return value
+    dotted = f"{key}.{name}" if key else name
+    if value is _MISSING:
+        raise ConfigError(dotted, "missing required key")
+    return json_as(kind, value, dotted)
+
+
+def _policy(channel: dict, side: str, where: str) -> FeePolicy:
+    raw, key = _value(channel, side, dict, where), f"{where}.{side}"
+    _check_keys(raw, key, _POLICY_KEYS)
+    base, ppm = _value(raw, "base_msat", int, key), _value(raw, "ppm", int, key)
+    try:
+        return FeePolicy(base, ppm)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
+
+
+def build_graph(spec, key: str = "") -> ChannelGraph:
+    """Check a graph spec and build its graph, in one walk.
 
     The spec takes only ``nodes``, ``hub`` and ``channels``, a channel only
-    its fields and ``open``, a policy only ``base_msat`` and ``ppm``. An
-    unknown key, a missing one or a wrong JSON type is a ``ConfigError``
-    naming the dotted key below ``key`` (``channels[0].opne``). Done once
-    where a spec enters the program, so ``build_graph`` stays plain.
+    its fields and ``open`` (default true), a policy only ``base_msat`` and
+    ``ppm``. An unknown or missing key, a wrong JSON type or a negative fee
+    is a ``ConfigError`` naming the dotted key below ``key``
+    (``channels[0].opne``); what the graph rejects (duplicate ids, a
+    dangling endpoint, a balance above capacity) is one under ``key``.
     """
     prefix = f"{key}." if key else ""
-    _check_object(spec, key, _SPEC_KEYS)
-    for i, node in enumerate(spec.get("nodes", [])):
-        json_as(str, node, f"{prefix}nodes[{i}]")
-    for i, raw in enumerate(spec.get("channels", [])):
-        channel = f"{prefix}channels[{i}]"
-        _check_object(raw, channel, _CHANNEL_KEYS)
-        _check_object(raw["policy_ab"], f"{channel}.policy_ab", _POLICY_KEYS)
-        _check_object(raw["policy_ba"], f"{channel}.policy_ba", _POLICY_KEYS)
-    return spec
-
-
-def _policy_from_spec(raw: Mapping, channel_id: str, side: str) -> FeePolicy:
+    _check_keys(spec, key, _SPEC_KEYS)
+    nodes = _value(spec, "nodes", list, key, [])
+    hub = _value(spec, "hub", str, key)
+    channels = _value(spec, "channels", list, key, [])
+    for i, node in enumerate(nodes):
+        if type(node) is not str:
+            json_as(str, node, f"{prefix}nodes[{i}]")
     try:
-        return FeePolicy(int(raw["base_msat"]), int(raw["ppm"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"channel {channel_id}: bad {side} policy: {exc}") from None
-
-
-def build_graph(spec: Mapping) -> ChannelGraph:
-    """Build and validate a graph from its JSON-shaped description."""
-    nodes = list(spec.get("nodes", []))
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("duplicate node ids in graph spec")
-    hub = spec.get("hub")
-    if hub is None:
-        raise ValueError("graph spec must declare a hub")
-    graph = ChannelGraph(nodes=set(nodes), hub=hub)
-    for raw in spec.get("channels", []):
-        ch = Channel(
-            id=str(raw["id"]),
-            node_a=str(raw["a"]),
-            node_b=str(raw["b"]),
-            capacity_msat=int(raw["capacity_msat"]),
-            balance_a_msat=int(raw["balance_a_msat"]),
-            policy_ab=_policy_from_spec(raw["policy_ab"], str(raw["id"]), "a->b"),
-            policy_ba=_policy_from_spec(raw["policy_ba"], str(raw["id"]), "b->a"),
-            open=bool(raw.get("open", True)),
-        )
-        graph.add_channel(ch)
+        if len(set(nodes)) != len(nodes):
+            raise ValueError("duplicate node ids in graph spec")
+        graph = ChannelGraph(nodes=set(nodes), hub=hub)
+        for i, raw in enumerate(channels):
+            where = f"{prefix}channels[{i}]"
+            _check_keys(raw, where, _CHANNEL_KEYS)
+            channel = Channel(
+                id=_value(raw, "id", str, where),
+                node_a=_value(raw, "a", str, where),
+                node_b=_value(raw, "b", str, where),
+                capacity_msat=_value(raw, "capacity_msat", int, where),
+                balance_a_msat=_value(raw, "balance_a_msat", int, where),
+                policy_ab=_policy(raw, "policy_ab", where),
+                policy_ba=_policy(raw, "policy_ba", where),
+                open=_value(raw, "open", bool, where, True),
+            )
+            graph.add_channel(channel)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
     return graph
 
 
 def load_graph_file(path) -> ChannelGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return build_graph(check_graph_spec(json.load(fh)))
+        return build_graph(json.load(fh))
 
 
 # --------------------------------------------------------------------------

@@ -143,22 +143,36 @@ def stress_scenario_raw() -> dict:
     }
 
 
-class _Omit:
+class _Marker:
+    def __init__(self, name: str):
+        self.name = name
+
     def __repr__(self) -> str:
-        return "OMIT"
+        return self.name
 
 
-OMIT = _Omit()  # as a value for set_key: delete the key
+# Values for set_key: delete the key; a copy of the list's first item.
+OMIT = _Marker("OMIT")
+TWIN_OF_FIRST = _Marker("TWIN_OF_FIRST")
 
 
 def set_key(raw: dict, dotted: str, value) -> dict:
-    """Set a dotted key (list items by index) in a raw config; returns it."""
+    """Set a dotted key (list items by index) in a raw config; returns it.
+
+    A list index one past the end appends.
+    """
     *parents, last = dotted.split(".")
     node = raw
     for part in parents:
         node = node[int(part)] if isinstance(node, list) else node[part]
+    if isinstance(node, list):
+        last = int(last)
+        if last == len(node):
+            node.append(None)
     if value is OMIT:
         del node[last]
+    elif value is TWIN_OF_FIRST:
+        node[last] = json.loads(json.dumps(node[0]))
     else:
         node[last] = value
     return raw
@@ -191,7 +205,29 @@ MALFORMED_CONFIGS = [
     ("graph", OMIT, "graph"),
     ("treasury.cash0_cents", OMIT, "treasury.cash0_cents"),
     ("merchants.0.id", OMIT, "merchants[0].id"),
+    ("merchants.1", TWIN_OF_FIRST, "merchants[1].id"),
 ]
+
+
+# Sleeves the graph rejects: (sleeve_peers, min_channel_msat, the index of
+# a spec channel renamed "sleeve-pay1" or None, part of the message).
+BAD_SLEEVES = {
+    "too-small": ([["pay1", 1.0], ["pay2", 1.0]], 10**15, None, "sleeve too small"),
+    "duplicate-peer": ([["pay1", 1.0], ["pay1", 1.0]], 1_000, None, "duplicate channel"),
+    "id-collision": ([["pay1", 1.0]], 1_000, 0, "duplicate channel id 'sleeve-pay1'"),
+}
+
+
+def bad_sleeve_raw(base: dict, name: str) -> dict:
+    """``base`` with a 0.03 sleeve over the ``name`` case's peers, which
+    are made graph nodes; returns it."""
+    peers, min_channel, renamed, _ = BAD_SLEEVES[name]
+    base["treasury"].update(btc_core_sats=1_000_000_000, sleeve_fraction=0.03)
+    base["graph"]["nodes"] = sorted(set(base["graph"]["nodes"]) | {"pay1", "pay2"})
+    if renamed is not None:
+        base["graph"]["channels"][renamed]["id"] = "sleeve-pay1"
+    base.update(sleeve_peers=peers, min_channel_msat=min_channel)
+    return base
 
 
 def _sanitize(obj):

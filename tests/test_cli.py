@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    BAD_SLEEVES,
     HOLDINGS_FIXTURE,
     MALFORMED_CONFIGS,
+    bad_sleeve_raw,
     chain_spec,
     set_key,
     stress_scenario_raw,
@@ -154,6 +156,17 @@ class TestConfigErrors:
         assert err.startswith("error: invalid config: ")
         assert key in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(BAD_SLEEVES))
+    def test_a_sleeve_the_graph_rejects_exits_2(self, name, tmp_path, capsys):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(bad_sleeve_raw(stress_scenario_raw(), name)))
+        out = tmp_path / "r.json"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: sleeve_peers: ")
+        assert BAD_SLEEVES[name][3] in err
         assert not out.exists()
 
 

@@ -15,8 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BAD_SLEEVES,
     MALFORMED_CONFIGS,
     _sanitize,
+    bad_sleeve_raw,
+    graph_state,
     legacy_report_text,
     set_key,
     stdlib_canonical_json,
@@ -186,6 +189,57 @@ class TestDeterminism:
         assert len(set(month1)) > 1 or len(set(
             p.months[0].price_cents for p in report.paths
         )) > 1
+
+
+def shrinking_raw_config():
+    """``rich_raw_config`` with a deployed sleeve, a drawdown shrink and
+    room for a circular rebalance: at seed 5 some path has each."""
+    raw = rich_raw_config(
+        stress_trigger={"drawdown_threshold": 0.2, "shrink_target": 0.5},
+        monte_carlo={"num_paths": 4, "master_seed": 5},
+    )
+    raw["treasury"]["sleeve_fraction"] = 0.03
+    raw["graph"]["channels"][4].update(
+        capacity_msat=200_000_000_000, balance_a_msat=100_000_000_000
+    )
+    return raw
+
+
+class TestStartingGraph:
+    """Each path runs on its own copy of the graph the config built."""
+
+    def test_paths_in_any_order_match_the_report(self):
+        config = config_from_dict(shrinking_raw_config())
+        before = graph_state(config._graph)
+        report = run_scenario(config)
+        months = [m for p in report.paths for m in p.months]
+        assert any(m.shrink_fired for m in months)
+        assert any(m.rebal_volume_cents for m in months)
+        assert graph_state(config._graph) == before
+        n = report.num_paths
+        assert [run_path(config, i) for i in reversed(range(n))][::-1] == list(report.paths)
+        assert run_scenario(config).reconciliation_hash == report.reconciliation_hash
+
+    def test_pool_equals_serial(self):
+        config = config_from_dict(shrinking_raw_config())
+        serial = run_scenario(config)
+        pooled = run_scenario(config, workers=2)
+        assert pooled.paths_json == serial.paths_json
+        assert pooled.reconciliation_hash == serial.reconciliation_hash
+
+    def test_copy_shares_no_channel(self):
+        config = config_from_dict(shrinking_raw_config())
+        start, copy = config._graph, config._graph.copy()
+        assert graph_state(copy) == graph_state(start)
+        assert [list(copy.adjacent(n)) for n in sorted(copy.nodes)] == [
+            list(start.adjacent(n)) for n in sorted(start.nodes)
+        ]
+        copy.channels["p1h"].shift("pay1", 1)
+        copy.close_channel("hsA")
+        copy.add_node("newcomer")
+        assert start.channels["p1h"].balance_a_msat == 100_000_000_000
+        assert start.channels["hsA"].open
+        assert "newcomer" not in start.nodes
 
 
 class TestReconciliation:
@@ -451,6 +505,13 @@ class TestConfigValidation:
         (tmp_path / "scenario.json").write_text(json.dumps(raw))
         config = load_config_file(tmp_path / "scenario.json")
         assert config.graph_spec == graph
+
+    @pytest.mark.parametrize("name", sorted(BAD_SLEEVES))
+    def test_a_sleeve_the_graph_rejects_is_a_config_error(self, name):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(bad_sleeve_raw(rich_raw_config(), name))
+        assert exc.value.key == "sleeve_peers"
+        assert BAD_SLEEVES[name][3] in exc.value.message
 
     def test_merchants_path_resolution(self, tmp_path):
         roster = [
@@ -768,31 +829,25 @@ class TestReports:
         report = run_scenario(config)
         assert report.survival_probability == report.surviving_paths / report.num_paths
 
-    def test_serial_scenario_builds_one_graph_per_path(self, monkeypatch):
-        from satsrail import engine
-
-        config = config_from_dict(rich_raw_config())
+    def test_a_config_builds_one_graph_and_its_paths_none(self, monkeypatch):
         builds = []
 
-        def counting_build_graph(spec):
-            builds.append(spec)
-            return build_graph(spec)
+        def counting_build_graph(spec, key=""):
+            builds.append(key)
+            return build_graph(spec, key)
 
         monkeypatch.setattr(engine, "build_graph", counting_build_graph)
-        report = run_scenario(config)
-        assert len(builds) == report.num_paths  # path 0 validates; no extra build
+        config = config_from_dict(rich_raw_config())
+        assert builds == ["graph"]
         builds.clear()
+        run_scenario(config)
         run_path(config, 0)
-        assert len(builds) == 1  # validation's graph is the one the path runs on
+        assert builds == []
 
-    def test_run_path_rejects_an_invalid_config(self):
-        config = dataclasses.replace(
-            config_from_dict(rich_raw_config()), start_price_cents=0
-        )
+    def test_replace_checks_the_new_config(self):
+        config = config_from_dict(rich_raw_config())
         with pytest.raises(ConfigError, match="start_price_cents"):
-            run_path(config, 0)
-        with pytest.raises(ConfigError, match="start_price_cents"):
-            run_scenario(config)
+            dataclasses.replace(config, start_price_cents=0)
 
     def test_single_path_report_wraps_run_path(self):
         raw = rich_raw_config(

@@ -40,6 +40,7 @@ from satsrail.lightning import (
     send_payment,
     shrink_sleeve,
 )
+from satsrail.util import ConfigError
 
 
 def free_graph(*nodes: str, edges: list[str]):
@@ -80,6 +81,47 @@ class TestHopFee:
     def test_negative_policy_rejected(self):
         with pytest.raises(ValueError):
             FeePolicy(-1, 0)
+
+
+# The JSON kind of each key a channel takes, and wrong values for each kind.
+CHANNEL_KINDS = {
+    "id": str,
+    "a": str,
+    "b": str,
+    "capacity_msat": int,
+    "balance_a_msat": int,
+    "policy_ab": dict,
+    "policy_ba": dict,
+    "open": bool,
+}
+WRONG_VALUES = {
+    str: [7, None, True, ["A"]],
+    int: ["5000", 1900.9, True, None, {}],
+    bool: ["false", 0, 1, None],
+    list: [{}, "A", None],
+    dict: [[], "x", None],
+}
+
+
+def spec_keys(spec: dict) -> list[tuple[tuple, type]]:
+    """``(path, JSON kind)`` of every key in a graph spec, ``open`` included."""
+    keys = [(("nodes",), list), (("hub",), str), (("channels",), list)]
+    keys += [(("nodes", i), str) for i in range(len(spec["nodes"]))]
+    for i in range(len(spec["channels"])):
+        keys.append((("channels", i), dict))
+        keys += [(("channels", i, name), kind) for name, kind in CHANNEL_KINDS.items()]
+        for side in ("policy_ab", "policy_ba"):
+            keys += [(("channels", i, side, name), int) for name in ("base_msat", "ppm")]
+    return keys
+
+
+def dotted_key(key: str, path: tuple) -> str:
+    for part in path:
+        if isinstance(part, int):
+            key += f"[{part}]"
+        else:
+            key = f"{key}.{part}" if key else part
+    return key
 
 
 class TestBuildGraph:
@@ -130,6 +172,41 @@ class TestBuildGraph:
         spec["channels"][0]["b"] = "A"
         with pytest.raises(ValueError, match="differ"):
             build_graph(spec)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("channels", 0, "open"), "false"),
+            (("channels", 0, "capacity_msat"), 1900.9),
+            (("channels", 0, "capacity_msat"), "5000"),
+            (("channels", 1, "id"), 7),
+            (("channels", 1, "policy_ba", "base_msat"), "1000"),
+        ],
+    )
+    def test_build_graph_coerces_nothing(self, path, value):
+        spec = chain_spec()
+        *parents, last = path
+        node = spec
+        for part in parents:
+            node = node[part]
+        node[last] = value
+        with pytest.raises(ConfigError) as exc:
+            build_graph(spec)
+        assert exc.value.key == dotted_key("", path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32), prefix=st.sampled_from(["", "graph"]), data=st.data())
+    def test_a_wrong_json_type_names_exactly_its_key(self, seed, prefix, data):
+        spec = random_graph_spec(random.Random(seed), max_nodes=5)
+        path, kind = data.draw(st.sampled_from(spec_keys(spec)))
+        node = spec
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = data.draw(st.sampled_from(WRONG_VALUES[kind]))
+        with pytest.raises(ConfigError) as exc:
+            build_graph(spec, prefix)
+        assert exc.value.key == dotted_key(prefix, path)
+        assert exc.value.message.startswith("must be ")
 
 
 class TestFindRoute:
