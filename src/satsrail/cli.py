@@ -5,8 +5,12 @@ deterministic bear path), ``mnav`` (holdings analytics table), ``route``
 (route debugging), ``corr`` (price-series correlation).
 
 Exit codes: 0 success, 1 domain or file error (no route, bad data file, no
-date overlap; a file that cannot be read as UTF-8 text or written, as
-``error: <path>: ...``), 2 usage error (bad flags, invalid config). Output
+date overlap; a data file that cannot be read as UTF-8 text, or an output
+file that cannot be written, as ``error: <path>: ...``), 2 usage error (bad
+flags, ``--out`` and ``--csv`` naming one file, invalid config). The data
+files are the ``mnav``, ``corr`` and ``route`` inputs. A config file, or
+its ``graph_path`` / ``merchants_path`` file, that cannot be read as UTF-8
+JSON is an invalid config: ``error: invalid config: <path>: ...``. Output
 paths are checked before a scenario runs or a table prints, so a command
 that fails on one leaves no output. Relative config paths not found locally
 are also tried under ``$SATSRAIL_CONFIG_DIR``.
@@ -336,6 +340,9 @@ def cmd_corr(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out, csv = getattr(args, "out", None), getattr(args, "csv", None)
+    if out and csv and Path(out).resolve() == Path(csv).resolve():
+        parser.error(f"argument --csv: names the same file as --out: {csv}")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -25,13 +25,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
 import math
-import operator
 import typing
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
 
@@ -70,7 +67,7 @@ from .treasury import (
     step_treasury,
     var_cap_check,
 )
-from .util import ConfigError, canonical_json, compact_encoder, json_as
+from .util import ConfigError, canonical_json, fill_layout, json_as, json_layout
 
 COVERAGE_ZERO_OPEX = "uncovered-by-zero-opex"
 
@@ -809,125 +806,19 @@ def run_path(config: ScenarioConfig, path_index: int) -> PathResult:
     )
 
 
-# --------------------------------------------------------------------------
-# Path encoding: templates derived from the record dataclasses' fields
-# --------------------------------------------------------------------------
-
-
-def _object_template(items: list[tuple[str, str]], depth: int) -> str:
-    """A JSON object at ``depth``: ``(key, value text)`` items, in key order."""
-    inner = "\n" + "  " * (depth + 1)
-    lines = [f"{encode_basestring_ascii(key)}: {text}" for key, text in items]
-    return "{" + inner + ("," + inner).join(lines) + "\n" + "  " * depth + "}"
-
-
-def _array_template(items: list[str], depth: int) -> str:
-    """A JSON array at ``depth`` of ``items``' texts."""
-    if not items:
-        return "[]"
-    inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
-
-
-@functools.cache
-def _record_template(cls: type, depth: int) -> tuple[str, tuple[str, ...]]:
-    """Template of a record whose fields are scalars or such records.
-
-    Returns the canonical JSON of a ``cls`` at ``depth`` with ``%s`` for
-    each scalar, and the scalars' dotted attribute names in that text's
-    order: sorted keys, nested records in place.
-    """
-    hints = typing.get_type_hints(cls)
-    items, names = [], []
-    for name in sorted(_field_names(cls)):
-        if dataclasses.is_dataclass(hints[name]):
-            text, inner = _record_template(hints[name], depth + 1)
-            names += (f"{name}.{n}" for n in inner)
-        else:
-            text = "%s"
-            names.append(name)
-        items.append((name, text))
-    return _object_template(items, depth), tuple(names)
-
-
-def _chain_records(get: Callable) -> Callable:
-    """Scalars of each record in a sequence, ``get`` giving one record's."""
-    return lambda records: itertools.chain.from_iterable(map(get, records))
-
-
-def _dict_values(keys: list[str]) -> Callable:
-    """Values of a dict in ``keys`` order; ValueError if its keys differ."""
-    get, expected = operator.itemgetter(*keys), set(keys)
-
-    def values(d: dict) -> tuple:
-        if d.keys() != expected:
-            raise ValueError(f"keys {sorted(d)} differ from the template's {keys}")
-        return get(d)
-
-    return values
-
-
-@functools.lru_cache(maxsize=64)
-def _path_codec(months: int) -> tuple:
-    """``(template, slots, fields, encode)`` for a path of ``months`` months.
-
-    ``template`` is a ``PathResult``'s canonical JSON as it reads in the
-    ``paths`` list (depth 1, no trailing newline) with ``%s`` for each of
-    its ``slots`` scalars. ``fields`` lists ``(name, expand)`` in the
-    template's key order: ``expand`` is None for a scalar, else it maps the
-    field's value to its scalars (a ``tuple`` of records, or the ``dict``
-    aggregate with ``_AGGREGATE_KEYS``). ``encode`` is the compact encoder
-    with a newline between items.
-    """
-    hints = typing.get_type_hints(PathResult)
-    items, fields, slots = [], [], 0
-    for name in sorted(_field_names(PathResult)):
-        hint = hints[name]
-        if hint is dict:
-            keys = sorted(_AGGREGATE_KEYS)
-            text = _object_template([(k, "%s") for k in keys], 2)
-            expand, slots = _dict_values(keys), slots + len(keys)
-        elif typing.get_origin(hint) is tuple:  # tuple[record, ...]
-            record, names = _record_template(typing.get_args(hint)[0], 3)
-            text = _array_template([record] * months, 2)
-            expand = _chain_records(operator.attrgetter(*names))
-            slots += len(names) * months
-        else:
-            text, expand, slots = "%s", None, slots + 1
-        items.append((name, text))
-        fields.append((name, expand))
-    return _object_template(items, 1), slots, tuple(fields), compact_encoder("\n")
-
-
 _INFINITIES = frozenset((math.inf, -math.inf))
 
 
 def _path_json(path: PathResult) -> str:
     """``path`` as it reads in the canonical ``paths`` list, without a newline.
 
-    The text is ``canonical_json`` of the path's ``asdict``, with tuples as
-    lists and infinite floats as ``COVERAGE_ZERO_OPEX``, one level deep.
-    Every scalar goes through one compact encode, newline-separated, and
-    fills the template's slots in order: an encoded scalar holds no raw
-    newline, so the text splits back into one token per value. A NaN raises
-    ``ValueError`` as the stdlib does; a container, which the template has
-    no place for, raises rather than give compact text.
+    The text is ``canonical_json`` of the path's ``asdict`` one level deep,
+    with infinite floats as ``COVERAGE_ZERO_OPEX``.
     """
-    template, slots, fields, encode = _path_codec(len(path.months))
-    values = []
-    for name, expand in fields:
-        value = getattr(path, name)
-        if expand is None:
-            values.append(value)
-        else:
-            values += expand(value)
+    template, values = json_layout(path, 1)
     if not _INFINITIES.isdisjoint(values):
         values = [COVERAGE_ZERO_OPEX if v in _INFINITIES else v for v in values]
-    text = encode(values)
-    tokens = text[1:-1].split("\n")
-    if len(tokens) != slots or text[1] in "[{" or "\n[" in text or "\n{" in text:
-        raise ValueError(f"path {path.path_index} does not fit its record template")
-    return template % tuple(tokens)
+    return fill_layout(template, values)
 
 
 # --------------------------------------------------------------------------
@@ -940,9 +831,8 @@ class ScenarioReport:
     """A scenario's outcome.
 
     ``paths_json`` is ``canonical_json`` of the path payload, byte for byte,
-    built path by path from the record templates (``_path_json``): the exact
-    text ``reconciliation_hash`` digests, and the report file's ``paths``
-    value.
+    built path by path (``_path_json``): the exact text
+    ``reconciliation_hash`` digests, and the report file's ``paths`` value.
     """
 
     config_echo: dict
@@ -962,8 +852,8 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> Scenario
     sorted by path index, so parallel and serial runs emit byte-identical
     reports. Every path starts from a copy of the graph the config built
     when it was made, so none rebuilds it. Each path is encoded once, with
-    one C-encoder call that fills a template derived from the record
-    dataclasses' fields, and hashed as part of ``paths_json``.
+    one C-encoder call that fills its cached layout, and hashed as part of
+    ``paths_json``.
     """
     n = config.monte_carlo.num_paths
     if workers is not None and workers > 1:

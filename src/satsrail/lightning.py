@@ -721,13 +721,13 @@ def deploy_sleeve(
     hub_policy: FeePolicy = FeePolicy(),
     peer_policy: FeePolicy = FeePolicy(),
     min_channel_msat: int = 1_000,
-    id_prefix: str = "sleeve",
 ) -> list[str]:
     """Open hub channels apportioning ``sleeve_msat`` across ``peers``.
 
     Capacities follow largest-remainder apportionment of the peer weights
-    (ties by peer id); the hub funds each channel in full. Unknown peers
-    are added to the node set. Returns the new channel ids.
+    (ties by peer id); the hub funds each channel in full. Each channel's id
+    is ``sleeve-<peer>``. Unknown peers are added to the node set. Returns
+    the new channel ids.
     """
     if sleeve_msat <= 0:
         raise ValueError("sleeve must be positive")
@@ -743,7 +743,7 @@ def deploy_sleeve(
     opened = []
     for peer, _ in peers:
         graph.add_node(peer)
-        cid = f"{id_prefix}-{peer}"
+        cid = f"sleeve-{peer}"
         ch = Channel(
             id=cid,
             node_a=graph.hub,

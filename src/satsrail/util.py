@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import itertools
 import json
 import math
+import operator
+import typing
 from fractions import Fraction
-from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Callable, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Sequence
 
 
 def apportion_largest_remainder(
@@ -42,110 +46,187 @@ def canonical_json(obj) -> str:
     """Deterministic JSON rendering: sorted keys, two-space indent, newline.
 
     Exactly ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``
-    plus ``"\\n"``, errors included. That call takes the stdlib's
-    pure-Python encoder, because ``indent`` is set; here every container
-    whose values are all scalars goes through the stdlib's C encoder
-    instead, and only the containers around them are walked in Python.
+    plus ``"\\n"``, errors included, where a dataclass record reads as its
+    ``dataclasses.asdict``. That call takes the stdlib's pure-Python
+    encoder, because ``indent`` is set; here the value is walked once into
+    its layout and its scalars (``json_layout``), and all the scalars go
+    through one call of the stdlib's compact encoder (``fill_layout``).
     """
-    return _indented(obj, 0, set()) + "\n"
+    return fill_layout(*json_layout(obj)) + "\n"
 
 
-_CONTAINERS = (dict, list, tuple)
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _STR = frozenset((str,))
+# The text json.dumps gives each scalar (NaN and infinities rejected, ASCII
+# escapes), a newline between items.
+_SCALAR_LIST = json.JSONEncoder(allow_nan=False, check_circular=False, separators=("\n", ": "))
+# Layouts are kept across calls, keyed by shape: at most _SHAPES of them,
+# each of about _CACHED_CHARS at most. They hold no values. A scenario's
+# paths and config echo fill a few dozen.
+_SHAPES = 256
+_CACHED_CHARS = 1 << 16
 
 
-def compact_encoder(item_separator: str) -> Callable[[object], str]:
-    """The stdlib's compact encoder with ``item_separator`` between items.
+def json_layout(obj, depth: int = 0) -> tuple[str, list]:
+    """``(template, scalars)``: ``obj``'s canonical JSON at ``depth``, in two parts.
 
-    Keys sorted, NaN and infinities rejected, ASCII escapes: the text
-    ``json.dumps`` gives a scalar or a container of scalars, but for the
-    item separator. No encoded scalar holds a raw newline. The C encoder is
-    built once here rather than on every ``JSONEncoder.encode`` call, which
-    costs more than a small container's encode; without the C accelerator
-    the result is the stdlib's own ``encode``.
+    ``template`` is the text whose first line sits at ``depth``, without a
+    trailing newline, with ``%s`` in place of each scalar and ``%%`` for
+    each ``%``; ``scalars`` holds the values in template order.
     """
-    encoder = json.JSONEncoder(
-        sort_keys=True,
-        allow_nan=False,
-        check_circular=False,
-        separators=(item_separator, ": "),
-    )
-    if c_make_encoder is None:
-        return encoder.encode
-    # JSONEncoder.iterencode's own call; no markers, as check_circular is off.
-    c_encode = c_make_encoder(
-        None,
-        encoder.default,
-        encode_basestring_ascii,
-        None,
-        encoder.key_separator,
-        encoder.item_separator,
-        encoder.sort_keys,
-        encoder.skipkeys,
-        encoder.allow_nan,
-    )
-
-    def encode(obj) -> str:
-        return "".join(c_encode(obj, 0))
-
-    return encode
+    scalars: list = []
+    return _walk(obj, depth, scalars, set()), scalars
 
 
-@functools.cache
-def _level(depth: int) -> tuple:
-    """``(encode, newline + inner indent, newline + outer indent)`` at ``depth``.
+def fill_layout(template: str, scalars: list) -> str:
+    """``template`` with ``scalars`` in its slots, each as the stdlib encodes it.
 
-    ``encode`` is the compact encoder with the item separator of a container
-    at ``depth``: on a container of scalars it gives the indented text but
-    for the newlines inside the brackets.
+    The scalars go through one encode, by the stdlib's C encoder where it
+    has one, with a newline between items; an encoded scalar holds no raw
+    newline, so the text splits back into one token per value. A record
+    field that holds a container where its annotation promised a scalar
+    would encode compactly: that raises ``ValueError``.
     """
-    inner = "\n" + "  " * (depth + 1)
-    return compact_encoder("," + inner), inner, "\n" + "  " * depth
+    if not scalars:
+        return template % ()
+    text = _SCALAR_LIST.encode(scalars)
+    tokens = text[1:-1].split("\n")
+    if len(tokens) != len(scalars) or text[1] in "[{" or "\n[" in text or "\n{" in text:
+        raise ValueError("a record field holds a container its annotation does not allow")
+    return template % tuple(tokens)
 
 
-def _indented(obj, depth: int, active: set) -> str:
-    """``obj`` as canonical JSON whose first line sits at ``depth``.
+def _walk(obj, depth: int, out: list, active: set) -> str:
+    """``obj``'s template at ``depth``; its scalars are appended to ``out``.
 
     ``active`` holds the ids of the enclosing containers walked here, to
     reject a value that contains itself as the stdlib does.
     """
-    encode, inner, outer = _level(depth)
     if isinstance(obj, dict):
-        values = obj.values()
+        if not _STR.issuperset(map(type, obj)):
+            # Non-string keys: the stdlib's own text, escaped for the template.
+            text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+            return text.replace("\n", "\n" + "  " * depth).replace("%", "%%")
+        keys = tuple(sorted(obj))
+        values = list(map(obj.__getitem__, keys))
     elif isinstance(obj, (list, tuple)):
-        values = obj
+        keys, values = None, obj
+        if obj and _is_record(obj[0]):
+            record = _record(type(obj[0]), depth + 1)
+            if record.fits(obj):
+                out += itertools.chain.from_iterable(map(record.scalars, obj))
+                return _container(depth, None, (record.template,) * len(obj))
+    elif _is_record(obj):
+        keys = _record(type(obj), depth).keys
+        values = [getattr(obj, key) for key in keys]
     else:
-        return encode(obj)
+        out.append(obj)
+        return "%s"
     if _SCALARS.issuperset(map(type, values)):
-        text = encode(obj)
-        return text[0] + inner + text[1:-1] + outer + text[-1] if obj else text
+        out += values
+        return _container(depth, keys, ("%s",) * len(values))
     if id(obj) in active:
         raise ValueError("Circular reference detected")
     active.add(id(obj))
-    sep = "," + inner
-    if values is obj:
-        items = [_indented(v, depth + 1, active) for v in obj]
-        text = "[" + inner + sep.join(items) + outer + "]"
-    elif _STR.issuperset(map(type, obj)):
-        scalars, nested = {}, {}
-        for k, v in obj.items():
-            (nested if isinstance(v, _CONTAINERS) else scalars)[k] = v
-        # The scalar items in one encode; its item separator is this level's,
-        # so it splits into items exactly, in sorted key order.
-        lines = iter(encode(scalars)[1:-1].split(sep))
-        items = [
-            f"{encode_basestring_ascii(k)}: {_indented(nested[k], depth + 1, active)}"
-            if k in nested
-            else next(lines)
-            for k in sorted(obj)
-        ]
-        text = "{" + inner + sep.join(items) + outer + "}"
-    else:  # non-string keys beside containers: the stdlib's own walk
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-        text = text.replace("\n", outer)
+    items = []
+    for value in values:
+        if type(value) in _SCALARS:
+            out.append(value)
+            items.append("%s")
+        else:
+            items.append(_walk(value, depth + 1, out, active))
     active.discard(id(obj))
-    return text
+    return _container(depth, keys, tuple(items))
+
+
+def _is_record(obj) -> bool:
+    """Whether ``obj`` is a dataclass instance (a dataclass itself is not)."""
+    return hasattr(type(obj), "__dataclass_fields__")
+
+
+def _container(depth: int, keys: tuple[str, ...] | None, items: tuple[str, ...]) -> str:
+    """Template of an object with ``keys``, or of an array if None, at ``depth``.
+
+    ``items`` are the values' templates, in key order. A large layout is
+    built on every call rather than kept: building it is one join, and
+    keeping it would keep a copy of every large layout nested in it.
+    """
+    if sum(map(len, items)) > _CACHED_CHARS:
+        return _layout(depth, keys, items)
+    return _cached_layout(depth, keys, items)
+
+
+def _layout(depth: int, keys: tuple[str, ...] | None, items: tuple[str, ...]) -> str:
+    if keys is not None:
+        items = [
+            encode_basestring_ascii(key).replace("%", "%%") + ": " + item
+            for key, item in zip(keys, items)
+        ]
+    brackets = "[]" if keys is None else "{}"
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    body = inner + ("," + inner).join(items) + "\n" + "  " * depth
+    return brackets[0] + body + brackets[1]
+
+
+_cached_layout = functools.lru_cache(maxsize=_SHAPES)(_layout)
+
+
+class _Record:
+    """How one dataclass is encoded at one depth.
+
+    ``keys`` are its field names, sorted. A record is *fixed* when each
+    field is annotated with a scalar type or a fixed record and it has two
+    scalars or more. A fixed record has a ``template``; ``names`` are its
+    scalars' dotted attribute names in template order, and ``checks`` the
+    dotted ``__class__`` names of the record and its nested records, which
+    must read ``classes`` for the template to fit. Other records are walked
+    field by field.
+    """
+
+    __slots__ = ("keys", "template", "names", "checks", "classes", "scalars", "classes_of", "expected")
+
+    def __init__(self, keys, template=None, names=(), checks=(), classes=()):
+        self.keys, self.template = keys, template
+        self.names, self.checks, self.classes = names, checks, classes
+        if template is not None:
+            self.scalars = operator.attrgetter(*names)
+            self.classes_of = operator.attrgetter(*checks)
+            # attrgetter gives a tuple for two or more names, else the value.
+            self.expected = classes[0] if len(classes) == 1 else classes
+
+    def fits(self, records) -> bool:
+        """Whether ``records`` are all fixed records that fit the template."""
+        if self.template is None:
+            return False
+        try:
+            return set(map(self.classes_of, records)) == {self.expected}
+        except AttributeError:  # an item that is not a record of this class
+            return False
+
+
+@functools.lru_cache(maxsize=_SHAPES)
+def _record(cls: type, depth: int) -> _Record:
+    keys = tuple(sorted(f.name for f in dataclasses.fields(cls)))
+    hints = typing.get_type_hints(cls)
+    items, names, checks, classes = [], [], ["__class__"], [cls]
+    for key in keys:
+        if hints[key] in _SCALARS:
+            items.append("%s")
+            names.append(key)
+            continue
+        inner = _record(hints[key], depth + 1) if dataclasses.is_dataclass(hints[key]) else None
+        if inner is None or inner.template is None:
+            return _Record(keys)
+        items.append(inner.template)
+        names += (f"{key}.{name}" for name in inner.names)
+        checks += (f"{key}.{check}" for check in inner.checks)
+        classes += inner.classes
+    if len(names) < 2:
+        return _Record(keys)
+    template = _container(depth, keys, tuple(items))
+    return _Record(keys, template, tuple(names), tuple(checks), tuple(classes))
 
 
 @functools.lru_cache

@@ -126,10 +126,22 @@ class TestSimulate:
         assert config["monte_carlo"] == {"num_paths": 1, "master_seed": 0}
 
 
+def _truncated(raw: dict) -> bytes:
+    data = json.dumps(raw).encode()
+    return data[: len(data) // 2]
+
+
+def _latin1(raw: dict) -> bytes:
+    """``raw`` with a non-ASCII merchant id, as Latin-1 bytes."""
+    raw["merchants"][0]["id"] = "caf\u00e9"
+    return json.dumps(raw, ensure_ascii=False).encode("latin-1")
+
+
 def _malformed_cli_cases():
     for dotted, value, key in MALFORMED_CONFIGS:
         yield pytest.param(["simulate"], (dotted, value), key, id=f"{dotted}={value!r}")
-    yield pytest.param(["simulate"], None, "scenario.json", id="truncated-json")
+    yield pytest.param(["simulate"], _truncated, "scenario.json", id="truncated-json")
+    yield pytest.param(["simulate"], _latin1, "scenario.json", id="not-utf8")
     # Overrides are applied to the loaded config, so file errors still win.
     for argv, edit, key in (
         (["simulate", "--seed", "5"], ("rebalence", {}), "rebalence"),
@@ -142,13 +154,12 @@ def _malformed_cli_cases():
 class TestConfigErrors:
     @pytest.mark.parametrize("argv, edit, key", _malformed_cli_cases())
     def test_exit_2_naming_the_key(self, argv, edit, key, tmp_path, capsys):
-        text = json.dumps(stress_scenario_raw())
-        if edit is None:
-            text = text[: len(text) // 2]
+        if callable(edit):  # a defect of the file itself
+            data = edit(stress_scenario_raw())
         else:
-            text = json.dumps(set_key(stress_scenario_raw(), *edit))
+            data = json.dumps(set_key(stress_scenario_raw(), *edit)).encode()
         config = tmp_path / "scenario.json"
-        config.write_text(text)
+        config.write_bytes(data)
         out = tmp_path / "r.json"
         code = main([*argv, "--config", str(config), "--out", str(out)])
         err = capsys.readouterr().err
@@ -384,6 +395,20 @@ class TestFileErrors:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not paths["OUT"].exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "stress"])
+    def test_out_and_csv_naming_one_file_is_a_usage_error(
+        self, command, scenario_file, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--config", str(scenario_file), "--out", "r.json"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--csv", "./r.json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --csv:" in captured.err
+        assert not (tmp_path / "r.json").exists()
 
     def test_an_existing_output_survives_a_failed_run(self, scenario_file, tmp_path):
         out = tmp_path / "report.json"

@@ -25,7 +25,7 @@ from conftest import (
     stdlib_canonical_json,
     stress_scenario_raw,
 )
-from satsrail import engine, treasury, util
+from satsrail import engine, treasury
 from satsrail.engine import (
     ConfigError,
     KpiMonth,
@@ -689,41 +689,54 @@ ANY_FLOAT = st.one_of(
     st.floats(allow_nan=False),
     st.sampled_from([math.inf, -math.inf, -0.0, 1e-05, 5e-324, 1e16]),
 )
-KPIS = st.builds(KpiMonth, ANY_INT, ANY_INT, *[ANY_FLOAT] * 6)
+FINITE_FLOAT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e-05, 5e-324, 1e16]),
+)
 RAIL_RECORDS = st.builds(  # settled never exceeds attempted
     lambda month, n: month_rail_cashflow(month, n[0], max(n[1:3]), min(n[1:3]), *n[3:]),
     ANY_INT,
     st.lists(COUNT, min_size=9, max_size=9),
 )
-MONTHS = st.builds(
-    MonthResult,
-    month=ANY_INT,
-    price_cents=ANY_INT,
-    drawdown=ANY_FLOAT,
-    shrink_fired=st.booleans(),
-    freed_msat=ANY_INT,
-    sampled_tx=ANY_INT,
-    rail=RAIL_RECORDS,
-    kpi=KPIS,
-    rebal_volume_cents=ANY_INT,
-    yield_cents=ANY_INT,
-    cash_cents=ANY_INT,
-    sleeve_deployed_msat=ANY_INT,
-    var=st.builds(VarCheck, ANY_INT, ANY_INT, st.booleans(), ANY_INT),
-)
-PATHS = st.builds(
-    PathResult,
-    path_index=ANY_INT,
-    survives=st.booleans(),
-    breach_month=st.none() | ANY_INT,
-    min_cash_cents=ANY_INT,
-    terminal_cash_cents=ANY_INT,
-    required_sale_sats=st.none() | ANY_INT,
-    months=st.lists(MONTHS, max_size=30).map(tuple),
-    kpi_aggregate=KPIS.map(
-        lambda kpi: {k: v for k, v in dataclasses.asdict(kpi).items() if k != "month"}
-    ),
-)
+
+
+def records(floats):
+    """``(months, paths)`` strategies whose float fields draw from ``floats``."""
+    kpis = st.builds(KpiMonth, ANY_INT, ANY_INT, *[floats] * 6)
+    months = st.builds(
+        MonthResult,
+        month=ANY_INT,
+        price_cents=ANY_INT,
+        drawdown=floats,
+        shrink_fired=st.booleans(),
+        freed_msat=ANY_INT,
+        sampled_tx=ANY_INT,
+        rail=RAIL_RECORDS,
+        kpi=kpis,
+        rebal_volume_cents=ANY_INT,
+        yield_cents=ANY_INT,
+        cash_cents=ANY_INT,
+        sleeve_deployed_msat=ANY_INT,
+        var=st.builds(VarCheck, ANY_INT, ANY_INT, st.booleans(), ANY_INT),
+    )
+    paths = st.builds(
+        PathResult,
+        path_index=ANY_INT,
+        survives=st.booleans(),
+        breach_month=st.none() | ANY_INT,
+        min_cash_cents=ANY_INT,
+        terminal_cash_cents=ANY_INT,
+        required_sale_sats=st.none() | ANY_INT,
+        months=st.lists(months, max_size=30).map(tuple),
+        kpi_aggregate=kpis.map(
+            lambda kpi: {k: v for k, v in dataclasses.asdict(kpi).items() if k != "month"}
+        ),
+    )
+    return months, paths
+
+
+MONTHS, PATHS = records(ANY_FLOAT)
+FINITE_MONTHS, FINITE_PATHS = records(FINITE_FLOAT)
 
 
 def stdlib_paths_json(paths) -> str:
@@ -744,12 +757,13 @@ class TestPathEncoding:
     def test_matches_without_the_c_accelerator(self, monkeypatch):
         paths = run_scenario(config_from_dict(empty_raw_config())).paths
         paths += run_scenario(config_from_dict(rich_raw_config())).paths
-        monkeypatch.setattr(util, "c_make_encoder", None)
-        engine._path_codec.cache_clear()
-        try:
-            assert engine_paths_json(paths) == stdlib_paths_json(paths)
-        finally:
-            engine._path_codec.cache_clear()
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        assert engine_paths_json(paths) == stdlib_paths_json(paths)
+
+    @given(st.one_of(FINITE_MONTHS, FINITE_PATHS))
+    @settings(max_examples=150, deadline=None)
+    def test_a_record_reads_as_its_asdict(self, record):
+        assert canonical_json(record) == stdlib_canonical_json(dataclasses.asdict(record))
 
     @pytest.mark.parametrize("field", ["drawdown", "kpi", "kpi_aggregate"])
     def test_nan_raises_value_error_in_both_encoders(self, field):
@@ -770,22 +784,53 @@ class TestPathEncoding:
                 encode([path])
 
     @pytest.mark.parametrize(
-        "misfit",
+        "misfit, may_raise",
         [
-            lambda p: dataclasses.replace(p, breach_month=(1,)),
-            lambda p: dataclasses.replace(p, breach_month=[]),
-            lambda p: with_aggregate(p, gmv_cents={"k": 1}),
-            lambda p: with_aggregate(p, gmv_cents={}),
-            lambda p: with_aggregate(p, extra=1),
-            lambda p: with_aggregate(p, gmv_cents=None),
+            (lambda p: dataclasses.replace(p, breach_month=(1,)), False),
+            (lambda p: dataclasses.replace(p, breach_month=[]), False),
+            (lambda p: with_aggregate(p, gmv_cents={"k": 1}), False),
+            (lambda p: with_aggregate(p, gmv_cents={}), False),
+            (lambda p: with_aggregate(p, extra=1), False),
+            (lambda p: with_aggregate(p, gmv_cents=None), False),
+            (lambda p: with_month(p, drawdown=(1,)), True),
+            (lambda p: with_month(p, drawdown=[math.inf, {"k": ()}]), True),
+            (lambda p: with_month(p, var={}), True),
+            (lambda p: with_month(p, var=None), True),
+            (lambda p: with_month(p, var=p.months[0].kpi), True),
         ],
-        ids=["one-tuple", "empty-list", "one-dict", "empty-dict", "extra-key", "missing-key"],
+        ids=[
+            "one-tuple",
+            "empty-list",
+            "one-dict",
+            "empty-dict",
+            "extra-key",
+            "missing-key",
+            "month-one-tuple",
+            "month-nested-list",
+            "month-dict-record",
+            "month-null-record",
+            "month-other-record",
+        ],
     )
-    def test_a_path_that_does_not_fit_its_template_raises(self, misfit):
-        # Never compact text or a silently dropped value.
+    def test_a_path_that_does_not_fit_its_template_raises(self, misfit, may_raise):
+        # A value that breaks its annotation reads as the stdlib formula
+        # reads it. Only inside a record whose fields are all scalars or
+        # such records may it raise instead; never compact text, a dropped
+        # value or another error.
         path = misfit(run_path(config_from_dict(rich_raw_config()), 0))
-        with pytest.raises((TypeError, ValueError)):
-            engine._path_json(path)
+        expected = stdlib_paths_json([path])
+        try:
+            text = engine_paths_json([path])
+        except (TypeError, ValueError):
+            assert may_raise
+        else:
+            assert text == expected
+
+
+def with_month(path: PathResult, **edits) -> PathResult:
+    """``path`` with its first month's fields edited."""
+    month = dataclasses.replace(path.months[0], **edits)
+    return dataclasses.replace(path, months=(month, *path.months[1:]))
 
 
 def with_aggregate(path: PathResult, **edits) -> PathResult:
