@@ -7,13 +7,18 @@ deterministic bear path), ``mnav`` (holdings analytics table), ``route``
 Exit codes: 0 success, 1 domain or file error (no route, bad data file, no
 date overlap; a data file that cannot be read as UTF-8 text, or an output
 file that cannot be written, as ``error: <path>: ...``), 2 usage error (bad
-flags, ``--out`` and ``--csv`` naming one file, invalid config). The data
-files are the ``mnav``, ``corr`` and ``route`` inputs. A config file, or
-its ``graph_path`` / ``merchants_path`` file, that cannot be read as UTF-8
-JSON is an invalid config: ``error: invalid config: <path>: ...``. Output
-paths are checked before a scenario runs or a table prints, so a command
-that fails on one leaves no output. Relative config paths not found locally
-are also tried under ``$SATSRAIL_CONFIG_DIR``.
+flags, an output naming the ``--config`` or ``--holdings`` file or the
+other output, a ``--seed`` outside ``[-2**127, 2**127)``, invalid config).
+The data files are the ``mnav``, ``corr`` and ``route`` inputs. A config
+file, or its ``graph_path`` / ``merchants_path`` file, that cannot be read
+as UTF-8 JSON is an invalid config: ``error: invalid config: <path>: ...``;
+so is any key its schema rejects, graph spec included, as
+``error: invalid config: <key>: ...``, where a channel's own rejects name
+``graph.channels[i]`` and the graph's name ``graph``. Output paths are
+checked before a scenario runs or a table prints, so a command that fails
+on one leaves no output. Relative config paths not found locally are also
+tried under ``$SATSRAIL_CONFIG_DIR``; an output is compared with the config
+file that lookup finds.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .market import (
     to_returns,
 )
 from .money import MSAT_PER_SAT
+from .rng import SEED_RANGE
 from .treasury import HoldingsCsvError, btc_per_share, load_holdings_csv, mnav
 
 CONFIG_DIR_ENV = "SATSRAIL_CONFIG_DIR"
@@ -105,6 +111,13 @@ def _non_negative_int(value: str) -> int:
     return n
 
 
+def _seed(value: str) -> int:
+    n = int(value)
+    if n not in SEED_RANGE:
+        raise argparse.ArgumentTypeError("must be an integer in [-2**127, 2**127)")
+    return n
+
+
 def _usd_to_cents(value: str) -> int:
     cents = float(value) * 100
     if not (math.isfinite(cents) and round(cents) >= 1):
@@ -128,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a scenario config")
     p_sim.add_argument("--config", required=True, help="scenario config JSON")
-    p_sim.add_argument("--seed", type=int, default=None, help="override master seed")
+    p_sim.add_argument("--seed", type=_seed, default=None, help="override master seed")
     p_sim.add_argument(
         "--paths", type=_positive_int, default=None, help="override path count"
     )
@@ -340,9 +353,16 @@ def cmd_corr(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out, csv = getattr(args, "out", None), getattr(args, "csv", None)
-    if out and csv and Path(out).resolve() == Path(csv).resolve():
-        parser.error(f"argument --csv: names the same file as --out: {csv}")
+    # An output that names an input or the other output would overwrite it.
+    # No command takes two inputs, so a file named twice names an output.
+    named: dict[Path, str] = {}
+    for flag in ("config", "holdings", "out", "csv"):
+        path = getattr(args, flag, None)
+        if path is not None:
+            resolved = (_resolve_config(path) if flag == "config" else Path(path)).resolve()
+            first = named.setdefault(resolved, flag)
+            if first != flag:
+                parser.error(f"argument --{flag}: names the same file as --{first}: {path}")
     try:
         return args.func(args)
     except ConfigError as exc:

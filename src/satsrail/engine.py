@@ -27,10 +27,8 @@ import functools
 import hashlib
 import json
 import math
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 from .lightning import (
     ChannelGraph,
@@ -56,7 +54,7 @@ from .rail import (
     month_rail_cashflow,
     sats_back_outlay,
 )
-from .rng import child_seed
+from .rng import SEED_RANGE, child_seed
 from .treasury import (
     TreasuryConfig,
     VarCheck,
@@ -67,7 +65,20 @@ from .treasury import (
     step_treasury,
     var_cap_check,
 )
-from .util import ConfigError, canonical_json, fill_layout, json_as, json_layout
+from .util import (
+    ConfigError,
+    _Ctx,
+    _Custom,
+    _Key,
+    _List,
+    _OneOf,
+    _read_json,
+    _Section,
+    canonical_json,
+    fill_layout,
+    json_as,
+    json_layout,
+)
 
 COVERAGE_ZERO_OPEX = "uncovered-by-zero-opex"
 
@@ -101,6 +112,8 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.num_paths < 1:
             raise ValueError("num_paths must be at least 1")
+        if self.master_seed not in SEED_RANGE:
+            raise ValueError("master_seed must be in [-2**127, 2**127)")
 
 
 @dataclass(frozen=True)
@@ -240,202 +253,16 @@ class ScenarioConfig:
 # Config schema: the dataclasses declare the keys, and one table the exceptions
 # --------------------------------------------------------------------------
 
-_REQUIRED = object()
+
+def _parse_peer(pair, key: str, ctx: _Ctx) -> tuple[str, float]:
+    if len(json_as(list, pair, key)) != 2:
+        raise ConfigError(key, "must be a [node, weight] pair")
+    return json_as(str, pair[0], key), json_as(float, pair[1], key)
 
 
-def _join(parent: str, name: str) -> str:
-    return f"{parent}.{name}" if parent else name
-
-
-def _read_json(path, key: str):
-    """Load a JSON file; an unreadable or malformed one is a ConfigError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(key, f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise ConfigError(key, f"not valid JSON: {exc}") from None
-
-
-@dataclass
-class _Ctx:
-    """One parse: the config's directory and the values parsed so far."""
-
-    base_dir: Path = Path(".")
-    parsed: dict = field(default_factory=dict)  # dotted key -> value
-
-
-@dataclass(frozen=True)
-class _Key:
-    """One JSON key: the dataclass field it fills, its kind and its default.
-
-    ``kind`` is a JSON scalar type, ``dict`` or an object with ``parse`` and
-    ``echo``. ``default`` is JSON, parsed like a given value, or a function
-    of the values parsed so far; ``null`` passes only where it is None.
-    ``path_key`` names a sibling key that may give the value as a JSON file
-    relative to the config's directory. A nameless key is a section whose
-    keys sit in the enclosing object.
-    """
-
-    name: str | None
-    kind: object
-    default: object = _REQUIRED
-    field: str | None = None
-    path_key: str | None = None
-
-    def names(self) -> set[str]:
-        if self.name is None:
-            return self.kind.names()
-        return {self.name, self.path_key} - {None}
-
-    def read(self, raw: dict, parent: str, ctx: _Ctx):
-        if self.name is None:
-            return self.kind.build(raw, parent, ctx)
-        key = _join(parent, self.name)
-        if self.name in raw:
-            value = raw[self.name]
-        elif self.path_key in raw:
-            path_key = _join(parent, self.path_key)
-            path = ctx.base_dir / json_as(str, raw[self.path_key], path_key)
-            value = _read_json(path, path_key)
-        elif self.default is _REQUIRED:
-            either = f" (or {self.path_key!r})" if self.path_key else ""
-            raise ConfigError(key, f"missing required value{either}")
-        else:
-            value = self.default(ctx.parsed) if callable(self.default) else self.default
-        if value is None and self.default is None:
-            parsed = None
-        elif isinstance(self.kind, type):
-            parsed = json_as(self.kind, value, key)
-        else:
-            parsed = self.kind.parse(value, key, ctx)
-        ctx.parsed[key] = parsed
-        return parsed
-
-    def echo(self, value):
-        if value is None or isinstance(self.kind, type):
-            return value
-        return self.kind.echo(value)
-
-
-# The section of each dataclass, filled at import: one JSON shape per class.
-_SECTIONS: dict[type, _Section] = {}
-
-
-class _Section:
-    """A JSON object whose keys build one dataclass; other keys are errors.
-
-    Each field is the key its declaration gives unless one of ``overrides``
-    fills it: the field's name, its annotation as the kind and its default.
-    An ``X | None`` field takes null as its None default. A dataclass field
-    is that class's section, defaulting to ``{}`` if the field has a
-    ``default_factory``; a class's section must be made before it is used.
-    """
-
-    def __init__(self, cls: type, *overrides: _Key):
-        fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
-        given = {k.field or k.name: k for k in overrides}
-        stray = sorted(set(given) - set(fields))
-        if stray or cls in _SECTIONS:
-            problem = f"no field {stray[0]!r}" if stray else "two sections"
-            raise TypeError(f"{cls.__name__} has {problem}")
-        _SECTIONS[cls] = self
-        hints = typing.get_type_hints(cls)
-        self.cls = cls
-        self.keys = tuple(
-            given.get(name) or _field_key(f, hints[name]) for name, f in fields.items()
-        )
-
-    def names(self) -> set[str]:
-        return set().union(*(k.names() for k in self.keys))
-
-    def parse(self, raw, key: str, ctx: _Ctx):
-        raw = json_as(dict, raw, key or "config")
-        unknown = sorted(set(raw) - self.names())
-        if unknown:
-            raise ConfigError(_join(key, unknown[0]), "unknown key")
-        return self.build(raw, key, ctx)
-
-    def build(self, raw: dict, key: str, ctx: _Ctx):
-        kwargs = {k.field or k.name: k.read(raw, key, ctx) for k in self.keys}
-        try:
-            return self.cls(**kwargs)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(key, str(exc)) from None
-
-    def echo(self, obj) -> dict:
-        out = {}
-        for k in self.keys:
-            value = k.echo(getattr(obj, k.field or k.name))
-            if k.name is None:
-                out.update(value)
-            else:
-                out[k.name] = value
-        return out
-
-
-def _field_key(f: dataclasses.Field, hint) -> _Key:
-    """The key a dataclass field declares: its name, type and default."""
-    if type(None) in typing.get_args(hint):  # X | None
-        (hint,) = set(typing.get_args(hint)) - {type(None)}
-    if dataclasses.is_dataclass(hint):
-        kind = _SECTIONS.get(hint) or _Section(hint)
-        default = _REQUIRED if f.default_factory is dataclasses.MISSING else {}
-    elif hint in (bool, int, float, str):
-        kind = hint
-        default = _REQUIRED if f.default is dataclasses.MISSING else f.default
-    else:
-        raise TypeError(f"field {f.name!r} of type {hint} needs an explicit key")
-    return _Key(f.name, kind, default)
-
-
-class _OneOf:
-    """A JSON object whose ``tag`` key names the section that parses it."""
-
-    def __init__(self, tag: str, **sections: _Section):
-        self.tag, self.sections = tag, sections
-
-    def parse(self, raw, key: str, ctx: _Ctx):
-        section = self.sections.get(json_as(dict, raw, key).get(self.tag))
-        if section is None:
-            choices = " or ".join(map(repr, self.sections))
-            raise ConfigError(_join(key, self.tag), f"must be {choices}")
-        return section.parse({k: v for k, v in raw.items() if k != self.tag}, key, ctx)
-
-    def echo(self, obj) -> dict:
-        tag = next(t for t, s in self.sections.items() if isinstance(obj, s.cls))
-        return {self.tag: tag, **self.sections[tag].echo(obj)}
-
-
-@dataclass(frozen=True)
-class _Custom:
-    """A kind parsed by ``parse(raw, key, ctx)`` and echoed by ``echo``."""
-
-    parse: Callable
-    echo: Callable
-
-
-def _parse_peers(raw, key: str, ctx: _Ctx) -> tuple[tuple[str, float], ...]:
-    peers = []
-    for i, pair in enumerate(json_as(list, raw, key)):
-        item = f"{key}[{i}]"
-        if len(json_as(list, pair, item)) != 2:
-            raise ConfigError(item, "must be a [node, weight] pair")
-        peers.append((json_as(str, pair[0], item), json_as(float, pair[1], item)))
-    return tuple(peers)
-
-
-_FEE_POLICY = _Section(
-    FeePolicy,
-    _Key("base_msat", int, 0, "base_fee_msat"),
-    _Key("ppm", int, 0, "proportional_millionths"),
-)
-_MERCHANT = _Section(Merchant)
+_MERCHANTS = _List(_Section(Merchant))
 # A market's horizon defaults to the treasury's, which is parsed first.
-_HORIZON = _Key("horizon_months", int, lambda parsed: parsed["treasury.horizon_months"])
+_HORIZON = _Key("horizon_months", int, lambda fields: fields["treasury"].horizon_months)
 _MARKET = _OneOf(
     "model",
     gbm=_Section(
@@ -451,11 +278,8 @@ _MARKET = _OneOf(
 _RAIL = _Section(  # the ticket keys sit flat in "rail"
     RailEconomicsConfig, _Key(None, _Section(TicketParams), field="tickets")
 )
-_ROSTER = _Custom(
-    lambda raw, key, ctx: load_merchants(raw, key),
-    lambda merchants: [_MERCHANT.echo(m) for m in merchants],
-)
-_PEERS = _Custom(_parse_peers, lambda peers: [list(p) for p in peers])
+_ROSTER = _Custom(lambda raw, key, ctx: load_merchants(raw, key), _MERCHANTS.echo)
+_PEERS = _List(_Custom(_parse_peer, list))
 _SCENARIO = _Section(
     ScenarioConfig,
     _Key("market", _MARKET),
@@ -474,13 +298,12 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:
     directory). An unknown key, a wrong JSON type or a non-integral number
     for an integer is a ``ConfigError`` naming the dotted key.
     """
-    return _SCENARIO.parse(raw, "", _Ctx(Path(base_dir or ".")))
+    return _SCENARIO.parse(json_as(dict, raw, "config"), "", _Ctx(Path(base_dir or ".")))
 
 
 def load_merchants(raw, key: str) -> tuple[Merchant, ...]:
     """Parse a merchant roster; every entry must match the merchant schema."""
-    merchants = enumerate(json_as(list, raw, key))
-    return tuple(_MERCHANT.parse(m, f"{key}[{i}]", _Ctx()) for i, m in merchants)
+    return _MERCHANTS.parse(raw, key, _Ctx())
 
 
 def load_config_file(path) -> ScenarioConfig:

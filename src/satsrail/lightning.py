@@ -15,6 +15,7 @@ on execution; callers may retry with the failed direction excluded.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -23,11 +24,13 @@ from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from .util import (
-    ConfigError,
+    _Ctx,
+    _Key,
+    _List,
+    _Section,
     apportion_largest_remainder,
     canonical_json,  # unused here; bench/tracer.py wraps lightning.canonical_json
     decimal_fraction,
-    json_as,
 )
 
 
@@ -366,90 +369,50 @@ class PaymentResult:
 
 
 # --------------------------------------------------------------------------
-# Graph construction and canonical serialization
+# Graph spec and construction
 # --------------------------------------------------------------------------
 
 
-# The keys each object of a graph spec may hold.
-_SPEC_KEYS = frozenset(("nodes", "hub", "channels"))
-_CHANNEL_KEYS = frozenset(
-    ("id", "a", "b", "capacity_msat", "balance_a_msat", "policy_ab", "policy_ba", "open")
+# A spec repeats a few policies over many channels, and a frozen record is
+# slow to make, so equal policies share one.
+_FEE_POLICY = _Section(
+    FeePolicy,
+    _Key("base_msat", int, 0, "base_fee_msat"),
+    _Key("ppm", int, 0, "proportional_millionths"),
+    make=functools.lru_cache(maxsize=256)(FeePolicy),
 )
-_POLICY_KEYS = frozenset(("base_msat", "ppm"))
-_MISSING = object()
+_CHANNEL = _Section(Channel, _Key("a", str, field="node_a"), _Key("b", str, field="node_b"))
 
 
-def _check_keys(raw, key: str, names: frozenset) -> None:
-    """Check that ``raw`` is a JSON object with no key outside ``names``."""
-    if type(raw) is not dict:
-        json_as(dict, raw, key)
-    if not raw.keys() <= names:
-        prefix = f"{key}." if key else ""
-        raise ConfigError(prefix + min(raw.keys() - names), "unknown key")
+def _graph(nodes: tuple[str, ...], hub: str, channels: tuple[Channel, ...]) -> ChannelGraph:
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("duplicate node ids in graph spec")
+    graph = ChannelGraph(nodes=set(nodes), hub=hub)
+    for channel in channels:
+        graph.add_channel(channel)
+    return graph
 
 
-def _value(raw: dict, name: str, kind: type, key: str, default=_MISSING):
-    """``raw[name]`` as ``kind``; the dotted key is formatted only for an error."""
-    value = raw.get(name, default)
-    if type(value) is kind:
-        return value
-    dotted = f"{key}.{name}" if key else name
-    if value is _MISSING:
-        raise ConfigError(dotted, "missing required key")
-    return json_as(kind, value, dotted)
-
-
-def _policy(channel: dict, side: str, where: str) -> FeePolicy:
-    raw, key = _value(channel, side, dict, where), f"{where}.{side}"
-    _check_keys(raw, key, _POLICY_KEYS)
-    base, ppm = _value(raw, "base_msat", int, key), _value(raw, "ppm", int, key)
-    try:
-        return FeePolicy(base, ppm)
-    except ValueError as exc:
-        raise ConfigError(key, str(exc)) from None
+# A graph spec is the JSON shape of a graph: its nodes, hub and channels.
+_GRAPH = _Section(
+    ChannelGraph,
+    _Key("nodes", _List(str), []),
+    _Key("channels", _List(_CHANNEL), []),
+    make=_graph,
+)
 
 
 def build_graph(spec, key: str = "") -> ChannelGraph:
-    """Check a graph spec and build its graph, in one walk.
+    """Check a graph spec and build its graph.
 
-    The spec takes only ``nodes``, ``hub`` and ``channels``, a channel only
-    its fields and ``open`` (default true), a policy only ``base_msat`` and
-    ``ppm``. An unknown or missing key, a wrong JSON type or a negative fee
-    is a ``ConfigError`` naming the dotted key below ``key``
-    (``channels[0].opne``); what the graph rejects (duplicate ids, a
-    dangling endpoint, a balance above capacity) is one under ``key``.
+    A channel's keys are its fields, ``a``/``b`` for its nodes; ``open``
+    defaults to true and policy keys to 0. What the schema or a channel
+    rejects is a ``ConfigError`` naming the dotted key below ``key``
+    (``channels[0].opne``, ``channels[0].policy_ab``, ``channels[0]``);
+    what the graph rejects (duplicate ids, a dangling endpoint) names
+    ``key``.
     """
-    prefix = f"{key}." if key else ""
-    _check_keys(spec, key, _SPEC_KEYS)
-    nodes = _value(spec, "nodes", list, key, [])
-    hub = _value(spec, "hub", str, key)
-    channels = _value(spec, "channels", list, key, [])
-    for i, node in enumerate(nodes):
-        if type(node) is not str:
-            json_as(str, node, f"{prefix}nodes[{i}]")
-    try:
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("duplicate node ids in graph spec")
-        graph = ChannelGraph(nodes=set(nodes), hub=hub)
-        for i, raw in enumerate(channels):
-            where = f"{prefix}channels[{i}]"
-            _check_keys(raw, where, _CHANNEL_KEYS)
-            channel = Channel(
-                id=_value(raw, "id", str, where),
-                node_a=_value(raw, "a", str, where),
-                node_b=_value(raw, "b", str, where),
-                capacity_msat=_value(raw, "capacity_msat", int, where),
-                balance_a_msat=_value(raw, "balance_a_msat", int, where),
-                policy_ab=_policy(raw, "policy_ab", where),
-                policy_ba=_policy(raw, "policy_ba", where),
-                open=_value(raw, "open", bool, where, True),
-            )
-            graph.add_channel(channel)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(key, str(exc)) from None
-    return graph
+    return _GRAPH.parse(spec, key, _Ctx())
 
 
 def load_graph_file(path) -> ChannelGraph:

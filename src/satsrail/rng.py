@@ -23,6 +23,10 @@ _SMALLEST_UNIFORM = 2.0**-53
 _normal_quantile = NormalDist().inv_cdf
 
 
+# The ints child_seed takes as keys: each is hashed as 16 signed bytes.
+SEED_RANGE = range(-(2**127), 2**127)
+
+
 def child_seed(*keys: int | str) -> int:
     """Derive a 64-bit seed from a sequence of integer/string tags.
 

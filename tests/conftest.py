@@ -206,6 +206,12 @@ MALFORMED_CONFIGS = [
     ("treasury.cash0_cents", OMIT, "treasury.cash0_cents"),
     ("merchants.0.id", OMIT, "merchants[0].id"),
     ("merchants.1", TWIN_OF_FIRST, "merchants[1].id"),
+    ("treasury.sleeve_fraction", math.nan, "treasury.sleeve_fraction"),
+    ("rail.ticket_sigma", math.inf, "rail.ticket_sigma"),
+    ("treasury.var_confidence", -math.inf, "treasury.var_confidence"),
+    # Seeds that rng.child_seed cannot encode.
+    ("monte_carlo", {"master_seed": 2**127}, "monte_carlo"),
+    ("monte_carlo", {"master_seed": -(2**127) - 1}, "monte_carlo"),
 ]
 
 

@@ -410,6 +410,44 @@ class TestFileErrors:
         assert "argument --csv:" in captured.err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--config", "scenario.json", "--out", "./scenario.json"], "--out"),
+            (
+                ["stress", "--config", "scenario.json", "--out", "r.json",
+                 "--csv", "cfg/scenario.json"],
+                "--csv",
+            ),
+            (["mnav", "--holdings", "h.csv", "--price", "60000", "--csv", "h.csv"], "--csv"),
+        ],
+        ids=["config-out", "config-dir-csv", "holdings-csv"],
+    )
+    def test_an_output_naming_an_input_is_a_usage_error(
+        self, argv, flag, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg").mkdir()
+        inputs = {
+            "scenario.json": json.dumps(stress_scenario_raw()),
+            "cfg/scenario.json": json.dumps(stress_scenario_raw()),
+            "h.csv": HOLDINGS_FIXTURE.read_text(),
+        }
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        if argv[0] == "stress":  # found only through $SATSRAIL_CONFIG_DIR
+            (tmp_path / "scenario.json").unlink()
+            monkeypatch.setenv("SATSRAIL_CONFIG_DIR", "cfg")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: names the same file as --" in captured.err
+        for name, text in inputs.items():
+            assert not (tmp_path / name).exists() or (tmp_path / name).read_text() == text
+        assert not (tmp_path / "r.json").exists()
+
     def test_an_existing_output_survives_a_failed_run(self, scenario_file, tmp_path):
         out = tmp_path / "report.json"
         out.write_text("previous report")
@@ -443,6 +481,19 @@ class TestBadNumbers:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}:" in captured.err
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [str(2**127), str(-(2**127) - 1)])
+    def test_a_seed_child_seed_cannot_encode_is_a_usage_error(
+        self, seed, scenario_file, tmp_path, capsys
+    ):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(scenario_file), "--seed", seed, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --seed:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRoute:

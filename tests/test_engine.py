@@ -628,6 +628,34 @@ class TestConfigSchema:
                 checked.append(key)
         assert len(checked) >= 22, checked
 
+    @pytest.mark.parametrize(
+        "policy",
+        [{"ppm": "5"}, {"fee": 0}, {"base_msat": -1}, {}],
+        ids=["string-ppm", "unknown-key", "negative-base", "empty"],
+    )
+    def test_a_fee_policy_reads_alike_at_the_top_and_in_a_channel(self, policy):
+        def outcome(dotted: str, key: str):
+            raw = set_key(rich_raw_config(), dotted, json.loads(json.dumps(policy)))
+            try:
+                config = config_from_dict(raw)
+            except ConfigError as exc:
+                assert exc.key.startswith(key)
+                return exc.key[len(key):], exc.message
+            if dotted == "hub_fee_policy":
+                return config.hub_fee_policy
+            return config._graph.channels["p1h"].policy_ab
+
+        top = outcome("hub_fee_policy", "hub_fee_policy")
+        assert top == outcome("graph.channels.0.policy_ab", "graph.channels[0].policy_ab")
+        if not policy:
+            assert top == FeePolicy(0, 0)
+
+    @pytest.mark.parametrize("seed", [2**127 - 1, -(2**127)])
+    def test_the_widest_seeds_run(self, seed):
+        raw = rich_raw_config(monte_carlo={"num_paths": 1, "master_seed": seed})
+        raw["treasury"]["horizon_months"] = 1
+        assert run_scenario(config_from_dict(raw)).master_seed == seed
+
     def test_ints_pass_for_floats_and_integral_numbers_for_ints(self):
         raw = rich_raw_config(sleeve_peers=[["pay1", 2]])
         raw["treasury"].update(horizon_months=6.0, sleeve_fraction=0)
