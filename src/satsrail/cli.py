@@ -27,12 +27,12 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .engine import (
     ConfigError,
-    load_config_file,
+    ScenarioConfig,
+    config_from_dict,
     mean_finite_coverage,
     run_scenario,
     write_report_csv,
@@ -47,7 +47,6 @@ from .lightning import (
 from .market import (
     PriceCsvError,
     ConstantSeriesError,
-    StressShape,
     inner_join,
     load_price_csv,
     pearson_corr,
@@ -56,6 +55,7 @@ from .market import (
 from .money import MSAT_PER_SAT
 from .rng import SEED_RANGE
 from .treasury import HoldingsCsvError, btc_per_share, load_holdings_csv, mnav
+from .util import _read_json
 
 CONFIG_DIR_ENV = "SATSRAIL_CONFIG_DIR"
 
@@ -97,36 +97,50 @@ def _check_writable(*paths) -> None:
             os.remove(path)
 
 
+def _int(value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be an integer") from None
+
+
+def _number(value: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be a number") from None
+
+
 def _positive_int(value: str) -> int:
-    n = int(value)
+    n = _int(value)
     if n < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return n
 
 
 def _non_negative_int(value: str) -> int:
-    n = int(value)
+    n = _int(value)
     if n < 0:
         raise argparse.ArgumentTypeError("must be a non-negative integer")
     return n
 
 
 def _seed(value: str) -> int:
-    n = int(value)
+    n = _int(value)
     if n not in SEED_RANGE:
         raise argparse.ArgumentTypeError("must be an integer in [-2**127, 2**127)")
     return n
 
 
 def _usd_to_cents(value: str) -> int:
-    cents = float(value) * 100
+    cents = _number(value) * 100
     if not (math.isfinite(cents) and round(cents) >= 1):
         raise argparse.ArgumentTypeError("must be a finite price of at least one cent")
     return round(cents)
 
 
 def _drawdown(value: str) -> float:
-    d = float(value)
+    d = _number(value)
     if not 0.0 <= d < 1.0:
         raise argparse.ArgumentTypeError("must be in [0, 1)")
     return d
@@ -223,24 +237,47 @@ def _run_and_report(config, args) -> int:
     return 0
 
 
+def _override(raw: dict, section: str, **keys) -> None:
+    """Set ``keys`` in the raw config's ``section``, made if absent; a
+    section that is not an object is left for the schema to reject."""
+    value = raw.get(section, {})
+    if type(value) is dict:
+        raw[section] = {**value, **keys}
+
+
+def _load_scenario(args, edit) -> ScenarioConfig:
+    """The ``--config`` scenario, parsed once after ``edit`` has written the
+    command's flags into its raw dict (when it is an object)."""
+    path = _resolve_config(args.config)
+    raw = _read_json(path, str(path))
+    if type(raw) is dict:
+        edit(raw)
+    return config_from_dict(raw, base_dir=path.parent)
+
+
 def cmd_simulate(args) -> int:
-    config = load_config_file(_resolve_config(args.config))
     overrides = {"master_seed": args.seed, "num_paths": args.paths}
-    monte_carlo = replace(
-        config.monte_carlo, **{k: v for k, v in overrides.items() if v is not None}
-    )
-    return _run_and_report(replace(config, monte_carlo=monte_carlo), args)
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+
+    def edit(raw: dict) -> None:
+        if overrides:
+            _override(raw, "monte_carlo", **overrides)
+
+    return _run_and_report(_load_scenario(args, edit), args)
 
 
 def cmd_stress(args) -> int:
-    config = load_config_file(_resolve_config(args.config))
-    config = replace(
-        config,
-        market=StressShape(args.shape, args.drawdown, args.months),
-        treasury=replace(config.treasury, horizon_months=args.months),
-        monte_carlo=replace(config.monte_carlo, num_paths=1),
-    )
-    return _run_and_report(config, args)
+    def edit(raw: dict) -> None:
+        raw["market"] = {
+            "model": "stress",
+            "kind": args.shape,
+            "total_drawdown": args.drawdown,
+            "horizon_months": args.months,
+        }
+        _override(raw, "treasury", horizon_months=args.months)
+        _override(raw, "monte_carlo", num_paths=1)
+
+    return _run_and_report(_load_scenario(args, edit), args)
 
 
 MNAV_HEADER = f"{'TICKER':<8}{'BTC_HELD':>14}{'MKT_CAP_USD':>18}{'MNAV':>12}{'BTC_PER_SHARE':>16}"

@@ -668,6 +668,19 @@ class ScenarioReport:
     paths_json: str = field(repr=False)
 
 
+# The config of a pool worker's scenario; set in worker processes only.
+_worker_config: ScenarioConfig | None = None
+
+
+def _set_worker_config(config: ScenarioConfig) -> None:
+    global _worker_config
+    _worker_config = config
+
+
+def _run_worker_path(path_index: int) -> PathResult:
+    return run_path(_worker_config, path_index)
+
+
 def run_scenario(config: ScenarioConfig, workers: int | None = None) -> ScenarioReport:
     """Run all paths and aggregate; order-independent and deterministic.
 
@@ -683,8 +696,12 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> Scenario
         # Imported here: it costs ~25 ms of start-up that a serial run never uses.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_path, [config] * n, range(n)))
+        # Each worker gets the config once, with its starting graph, and
+        # then only path indices.
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_set_worker_config, initargs=(config,)
+        ) as pool:
+            results = list(pool.map(_run_worker_path, range(n)))
     else:
         results = [run_path(config, i) for i in range(n)]
     results.sort(key=lambda r: r.path_index)

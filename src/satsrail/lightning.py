@@ -129,8 +129,11 @@ class Channel:
             raise AssertionError(f"channel {self.id}: balance out of range")
 
 
-# How many hop distances a route index keeps cached, summed over senders.
+# How many hop distances a route index keeps cached, summed over its searches.
 _HOP_CACHE_ENTRIES = 1 << 16
+# A hop distance not labelled yet; labels stop one short of it.
+_UNLABELLED = 255
+_LABELS = bytes(range(_UNLABELLED))
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,7 @@ class _RouteIndex:
     ``min_ppm`` are the smallest base fee and ppm over all open directions.
     Balances are not indexed; the router never reads them.
 
-    The index also caches, per sender, the hop distances that bound a
+    The index also caches the breadth-first searches that bound a route
     search (:meth:`hops_past_first`), and the :class:`Hop` of each traced
     direction. Both live and die with the index, so a topology change drops
     them too.
@@ -161,7 +164,7 @@ class _RouteIndex:
     neighbours: tuple[tuple[int, ...], ...]
     min_base: int
     min_ppm: int
-    _hops_past_first: dict[int, list[int]] = field(default_factory=dict, compare=False)
+    _hops_past_first: dict = field(default_factory=dict, compare=False)
     _hop_objects: dict[tuple[int, int], "Hop"] = field(default_factory=dict, compare=False)
 
     @classmethod
@@ -199,33 +202,69 @@ class _RouteIndex:
                 out.add((c, v))
         return out
 
-    def hops_past_first(self, sender: int) -> list[int]:
-        """Per node rank, ``max(d - 1, 0)`` for ``d`` its hop distance from
-        ``sender`` over the open topology; ``len(nodes)`` when unreachable.
+    def hops_past_first(self, sender: int, target: int, first: int | None = None) -> bytes:
+        """Per node rank, a lower bound on the hops past the first of a
+        route from ``sender`` to it, that moves by at most 1 per hop.
 
-        Kept for the most recently used senders, at most
-        ``_HOP_CACHE_ENTRIES`` distances in all.
+        The bound is ``max(d - 1, 0)`` for ``d`` the node's hop distance
+        from ``sender`` over the open topology. With ``first`` given, every
+        route leaves ``sender`` for ``first`` and never re-enters ``sender``:
+        the bound is then the hop distance from ``first`` over the topology
+        without ``sender``.
+
+        Returns the bound per node rank, one byte each. The breadth-first
+        search labels level by level until ``target``'s level is known:
+        ``target`` is labelled, or a neighbour of it is (other than a
+        blocked ``sender``), so it lies at the next level. It also stops
+        when nothing is left to label, or at ``_UNLABELLED``. A node it has
+        not labelled lies at the next level or deeper, or cannot be reached,
+        and reads that level: clamped so, the bound still moves by at most 1
+        per hop. The
+        search's state, the bound it gives and the targets it has served are
+        kept for the most recently used ``(sender, first)``, at most
+        ``_HOP_CACHE_ENTRIES`` labels in all; a later target that lies deeper
+        resumes the search.
         """
+        key = sender if first is None else (sender, first)
         cache = self._hops_past_first
-        far = cache.pop(sender, None)
-        if far is None:
-            n = len(self.nodes)
+        state = cache.pop(key, None)
+        if state is None:
+            far = [_UNLABELLED] * len(self.nodes)
+            far[sender] = 0  # labelled, so never expanded after the start
+            if first is None:
+                state = (far, [sender], 0, None, set())
+            else:
+                far[first] = 0
+                state = (far, [first], 1, None, set())
+            if len(cache) >= max(1, _HOP_CACHE_ENTRIES // len(far)):
+                del cache[next(iter(cache))]
+        far, frontier, level, bound, known = state
+        if target not in known:
             neighbours = self.neighbours
-            far = [n] * n
-            far[sender] = 0
-            frontier, level = [sender], 0
-            while frontier:
+            near = neighbours[target]
+            if first is not None:  # the sender's label is no hop distance then
+                near = [u for u in near if u != sender]
+            while (
+                frontier
+                and level < _UNLABELLED
+                and far[target] == _UNLABELLED
+                and all(far[u] == _UNLABELLED for u in near)
+            ):
                 reached = []
                 for node in frontier:
                     for prev in neighbours[node]:
-                        if far[prev] == n:
+                        if far[prev] == _UNLABELLED:
                             far[prev] = level
                             reached.append(prev)
-                frontier, level = reached, level + 1
-            if len(cache) >= max(1, _HOP_CACHE_ENTRIES // n):
-                del cache[next(iter(cache))]
-        cache[sender] = far
-        return far
+                frontier, level, bound = reached, level + 1, None
+            known.add(target)
+        if bound is None:
+            # Labels are kept as bytes, an eighth of a list of ints. A fresh
+            # search labels a list, which is faster; a resumed one the bytes.
+            far = bytearray(far)
+            bound = bytes(far).translate(_LABELS + bytes((level,)))
+        cache[key] = (far, frontier, level, bound, known)
+        return bound
 
 
 @dataclass
@@ -439,16 +478,19 @@ def _backward_search(
     own forwarding fee included, when ``node`` forwards over ``channel`` to
     ``next node``. ``start`` is the first entry's ``(R, node, next node,
     channel)``. The key adds a lower bound on the fees still to come:
-    ``key = R + λ·max(d(node) - 1, 0)``, with ``d`` the hop distance from
-    the sender over the open topology (:meth:`_RouteIndex.hops_past_first`)
-    and ``λ = min_base + R_start·min_ppm // 1_000_000``. Every R is at least
-    the start's, so every hop fee is at least λ, and a route from ``node``
-    back to the sender pays at least ``d(node) - 1`` of them (the sender's
-    own hop is free).
+    ``key = R + λ·h(node)``, with ``h`` the hops past the first from the
+    sender (:meth:`_RouteIndex.hops_past_first`, clamped at the start's
+    level) and ``λ = min_base + R_start·min_ppm // 1_000_000``. Every R is
+    at least the start's, so every hop fee is at least λ, and a route from
+    ``node`` back to the sender pays at least ``h(node)`` of them (the
+    sender's own hop is free). A rebalance's route returns to the sender
+    (``start``'s next node is the sender) and leaves it through its one
+    exit, so there ``h`` counts hops from that exit over the topology
+    without the sender.
 
     Entries pop in tuple order, ranks standing for ids, and the first entry
     popped for a node settles it, so each node keeps the continuation of its
-    first-popped entry. ``d`` changes by at most 1 per hop, so when λ > 0
+    first-popped entry. ``h`` changes by at most 1 per hop, so when λ > 0
     (every fee positive) the key never falls along a route while R strictly
     rises: a node pops only after every entry of smaller R for it was
     pushed, and for one node the key orders its entries as R does. Each node
@@ -456,6 +498,13 @@ def _backward_search(
     Dijkstra on R. When λ = 0 the key is R, and this is that Dijkstra. An
     entry is pushed only when it beats the one already queued for its node;
     the one popped first is the same.
+
+    When λ > 0 a settled node pushes at first only its directions from
+    nodes of smaller ``h``: any other direction keys at least the node's key
+    + λ. One marker ``(key + λ, -1, node)`` stands for those, and pushes them
+    when it pops, which is before any of them could pop. So a node with many
+    channels, such as a hub, is scanned but few of its directions are
+    queued, and every node settles as above.
 
     A direction is usable when its capacity covers the amount entering it
     and ``(channel, prev)`` is not in ``skip``; the sender is never entered.
@@ -474,7 +523,12 @@ def _backward_search(
     incoming = index.incoming
     n = len(index.nodes)
     lam = index.min_base + start[0] * index.min_ppm // 1_000_000
-    far = index.hops_past_first(sender) if lam else [0] * n
+    if lam:
+        # A route back to the sender is a rebalance's circle: one exit.
+        (only,) = exits if start[2] == sender else (None,)
+        far = index.hops_past_first(sender, start[1], only)
+    else:
+        far = bytes(n)
     first = (start[0] + lam * far[start[1]], *start)
     settled: list = [None] * n
     settled[sender] = first  # a marker: the sender is never entered
@@ -486,25 +540,37 @@ def _backward_search(
     while heap:
         entry = heapq.heappop(heap)
         key, required, node = entry[0], entry[1], entry[2]
-        if settled[node] is not None:
-            continue
-        if key > bound:
-            break
-        settled[node] = entry
-        usable = exits.get(node)
-        if usable is not None:
-            fits = [channel for channel, capacity in usable if capacity >= required]
-            if fits:
-                candidate = (required, node, min(fits))
-                if best is None or candidate < best:
-                    best, bound = candidate, required
-            pending -= 1
-            if not pending:
+        if required < 0:  # a marker: push the directions held back
+            if key > bound:
                 break
+            required = settled[node][1]
+            low, high = far[node], _UNLABELLED + 1
+        else:
+            if settled[node] is not None:
+                continue
+            if key > bound:
+                break
+            settled[node] = entry
+            usable = exits.get(node)
+            if usable is not None:
+                fits = [channel for channel, capacity in usable if capacity >= required]
+                if fits:
+                    candidate = (required, node, min(fits))
+                    if best is None or candidate < best:
+                        best, bound = candidate, required
+                pending -= 1
+                if not pending:
+                    break
+            low, high = 0, far[node] if lam else _UNLABELLED + 1
+        # Push the directions from nodes with low <= h < high; hold the rest.
+        held = False
         for prev, channel, capacity, base, ppm in incoming[node]:
             cost = required + base
             if cost > bound:
                 break  # the rest charge at least this base fee
+            if not low <= far[prev] < high:
+                held = True
+                continue
             if capacity < required or settled[prev] is not None:
                 continue
             if skip and (channel, prev) in skip:
@@ -516,6 +582,8 @@ def _backward_search(
                 if pushed < queued[prev]:
                     queued[prev] = pushed
                     heapq.heappush(heap, pushed)
+        if held and high <= _UNLABELLED:
+            heapq.heappush(heap, (entry[0] + lam, -1, node))
     return settled, best
 
 

@@ -21,25 +21,32 @@ def apportion_largest_remainder(
 ) -> dict[str, int]:
     """Split ``total`` into integer parts proportional to ``weights``.
 
-    Largest-remainder method with exact rational arithmetic. Remainder ties
-    break by key in ascending order. The parts always sum exactly to
+    Largest-remainder method with exact integer arithmetic: each weight is
+    its exact ratio (``as_integer_ratio``) over the weights' common
+    denominator, so a part and its remainder are one ``divmod``. Remainder
+    ties break by key in ascending order. The parts always sum exactly to
     ``total``.
     """
     if total < 0:
         raise ValueError("total must be non-negative")
     if not weights:
         raise ValueError("weights must be non-empty")
-    grand = Fraction(0)
+    ratios = []
     for key, w in weights:
-        wf = Fraction(w)
-        if wf <= 0:
+        num, den = w.as_integer_ratio()
+        if num <= 0:
             raise ValueError(f"weight for {key!r} must be positive")
-        grand += wf
-    quotas = [(key, Fraction(total) * Fraction(w) / grand) for key, w in weights]
-    parts = {key: int(q) for key, q in quotas}  # int() floors non-negative Fractions
+        ratios.append((num, den))
+    common = math.lcm(*(den for _, den in ratios))
+    shares = [num * (common // den) for num, den in ratios]
+    grand = sum(shares)
+    parts = {}
+    by_remainder = []
+    for (key, _), share in zip(weights, shares):
+        parts[key], remainder = divmod(total * share, grand)
+        by_remainder.append((-remainder, key))
     leftover = total - sum(parts.values())
-    by_remainder = sorted(quotas, key=lambda kq: (-(kq[1] - int(kq[1])), kq[0]))
-    for key, _ in by_remainder[:leftover]:
+    for _, key in sorted(by_remainder)[:leftover]:
         parts[key] += 1
     return parts
 
@@ -118,6 +125,10 @@ def _walk(obj, depth: int, out: list, active: set) -> str:
             if record.fits(obj):
                 out += itertools.chain.from_iterable(map(record.scalars, obj))
                 return _container(depth, None, (record.template,) * len(obj))
+        elif obj and type(obj[0]) in _ROW_TYPES:
+            template = _fill_rows(obj, depth, out)
+            if template is not None:
+                return template
     elif _is_record(obj):
         keys = _record(type(obj), depth).keys
         values = [getattr(obj, key) for key in keys]
@@ -229,6 +240,121 @@ def _record(cls: type, depth: int) -> _Record:
         return _Record(keys)
     template = _container(depth, keys, tuple(items))
     return _Record(keys, template, tuple(names), tuple(checks), tuple(classes))
+
+
+_ROW_TYPES = frozenset((dict, list, tuple))
+_chain = itertools.chain.from_iterable
+
+
+def _shape(obj, active: set):
+    """``obj``'s shape: ``()`` for a scalar, and for a dict or list its type,
+    its sorted keys (a list's length) and its values' shapes. None when it
+    holds anything else: a record, a non-string key, or itself (``active``
+    holds the ids of the enclosing containers).
+    """
+    kind = type(obj)
+    if kind in _SCALARS:
+        return ()
+    if kind is dict and _STR.issuperset(map(type, obj)):
+        keys = tuple(sorted(obj))
+        values = map(obj.__getitem__, keys)
+    elif kind is list or kind is tuple:
+        keys, values = len(obj), obj
+    else:
+        return None
+    if id(obj) in active:
+        return None
+    active.add(id(obj))
+    shapes = []
+    for value in values:
+        shape = _shape(value, active)
+        if shape is None:
+            return None
+        shapes.append(shape)
+    active.discard(id(obj))
+    return kind, keys, tuple(shapes)
+
+
+class _Rows:
+    """How a list of rows of one shape is encoded, each row at one depth.
+
+    ``containers`` are the row and its nested containers, parents first,
+    each as ``(parent's index or None, getter from the parent, type,
+    size)``. ``runs`` are the runs of consecutive scalars in template order,
+    each as ``(its container's index, getter, whether it gets several)``.
+    """
+
+    __slots__ = ("template", "containers", "runs")
+
+    def __init__(self, template, containers, runs):
+        self.template, self.containers, self.runs = template, containers, runs
+
+
+@functools.lru_cache(maxsize=_SHAPES)
+def _rows(shape: tuple, depth: int) -> _Rows | None:
+    """The plan for rows of ``shape`` at ``depth``; None if its template is
+    too long to keep."""
+    containers: list = []
+    runs: list = []
+
+    def visit(shape, parent, key, depth) -> str:
+        kind, keys, shapes = shape
+        index = len(containers)
+        get = None if parent is None else operator.itemgetter(key)
+        containers.append((parent, get, kind, len(shapes)))
+        names = keys if kind is dict else range(keys)
+        items, run = [], []
+        for name, inner in zip(names, shapes):
+            if inner == ():
+                items.append("%s")
+                run.append(name)
+                continue
+            if run:
+                runs.append((index, operator.itemgetter(*run), len(run) > 1))
+                run = []
+            items.append(visit(inner, index, name, depth + 1))
+        if run:
+            runs.append((index, operator.itemgetter(*run), len(run) > 1))
+        return _container(depth, keys if kind is dict else None, tuple(items))
+
+    template = visit(shape, None, None, depth)
+    if len(template) > _CACHED_CHARS:
+        return None
+    return _Rows(template, tuple(containers), tuple(runs))
+
+
+def _fill_rows(rows, depth: int, out: list) -> str | None:
+    """The template of the list ``rows`` at ``depth``, its scalars appended
+    to ``out``, when every row has the first row's shape; else None, and
+    ``out`` is untouched.
+
+    Each container of the shape is checked as a column over all rows (its
+    type and size, and its keys through the getters), and each run of
+    scalars is gathered as a column; the scalars are then interleaved row
+    by row.
+    """
+    shape = _shape(rows[0], set())
+    plan = None if shape is None else _rows(shape, depth + 1)
+    if plan is None:
+        return None
+    columns: list = []
+    try:
+        for parent, get, kind, size in plan.containers:
+            column = rows if get is None else list(map(get, columns[parent]))
+            if set(map(type, column)) != {kind} or set(map(len, column)) != {size}:
+                return None
+            columns.append(column)
+        gathered = [
+            map(get, columns[c]) if several else zip(map(get, columns[c]))
+            for c, get, several in plan.runs
+        ]
+        values = list(_chain(_chain(zip(*gathered))))
+    except KeyError:  # a dict row without one of the first row's keys
+        return None
+    if not _SCALARS.issuperset(map(type, values)):
+        return None
+    out += values
+    return _container(depth, None, (plan.template,) * len(rows))
 
 
 @functools.lru_cache

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,9 @@ from conftest import (
     set_key,
     stress_scenario_raw,
 )
+from satsrail import engine
 from satsrail.cli import main
+from satsrail.engine import config_from_dict, run_scenario, write_report_json
 from satsrail.util import canonical_json
 
 
@@ -481,6 +484,113 @@ class TestBadNumbers:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}:" in captured.err
+
+
+class TestNotANumber:
+    """A flag that is not a number reads as such, naming no private function."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, message",
+        [
+            (["simulate", "--paths", "x"], "--paths", "must be an integer"),
+            (["simulate", "--seed", "abc"], "--seed", "must be an integer"),
+            (["stress", "--months", "1.5"], "--months", "must be an integer"),
+            (["stress", "--drawdown", "half"], "--drawdown", "must be a number"),
+            (
+                ["route", "--graph", "g.json", "--from", "A", "--to", "B", "--amount-sats", "1.5"],
+                "--amount-sats",
+                "must be an integer",
+            ),
+            (
+                ["route", "--graph", "g.json", "--from", "A", "--to", "B",
+                 "--amount-sats", "1", "--max-fee-sats", "1e3"],
+                "--max-fee-sats",
+                "must be an integer",
+            ),
+            (["mnav", "--holdings", "h.csv", "--price", "$60k"], "--price", "must be a number"),
+        ],
+        ids=["paths", "seed", "months", "drawdown", "amount-sats", "max-fee-sats", "price"],
+    )
+    def test_usage_error_exit_2(self, argv, flag, message, scenario_file, tmp_path, capsys):
+        if argv[0] in ("simulate", "stress"):
+            argv = [*argv, "--config", str(scenario_file), "--out", str(tmp_path / "r.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {message}" in err
+        assert re.search(r"(?<![\w-])_[a-z]", err) is None, err
+
+
+class TestOneParse:
+    """Each command parses its config, and builds its graph, once; the flags
+    reach the report as if they were written in the config."""
+
+    @staticmethod
+    def counted_builds(monkeypatch) -> list:
+        builds = []
+        build = engine.build_graph
+
+        def counting(spec, key=""):
+            builds.append(key)
+            return build(spec, key)
+
+        monkeypatch.setattr(engine, "build_graph", counting)
+        return builds
+
+    @pytest.mark.parametrize(
+        "flags, edit",
+        [
+            ([], lambda raw: None),
+            (
+                ["--seed", "7", "--paths", "3"],
+                lambda raw: raw["monte_carlo"].update(master_seed=7, num_paths=3),
+            ),
+            (["--paths", "2"], lambda raw: raw["monte_carlo"].update(num_paths=2)),
+        ],
+        ids=["no-flags", "seed-and-paths", "paths"],
+    )
+    def test_simulate(self, flags, edit, tmp_path, monkeypatch):
+        raw = stress_scenario_raw()
+        raw["monte_carlo"] = {"num_paths": 1, "master_seed": 11}
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(raw))
+        builds = self.counted_builds(monkeypatch)
+        out = tmp_path / "r.json"
+        assert main(["simulate", "--config", str(config), *flags, "--out", str(out)]) == 0
+        assert builds == ["graph"]
+        edit(raw)
+        expected = tmp_path / "expected.json"
+        write_report_json(run_scenario(config_from_dict(raw)), expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, market",
+        [
+            ([], {"kind": "linear", "total_drawdown": 0.7, "horizon_months": 24}),
+            (
+                ["--shape", "exponential", "--drawdown", "0.4", "--months", "9"],
+                {"kind": "exponential", "total_drawdown": 0.4, "horizon_months": 9},
+            ),
+        ],
+        ids=["defaults", "shape-drawdown-months"],
+    )
+    def test_stress(self, flags, market, tmp_path, monkeypatch):
+        raw = stress_scenario_raw()
+        raw["market"] = {"model": "gbm", "mu": 0.1, "sigma": 0.5}  # replaced by the flags
+        raw["monte_carlo"] = {"num_paths": 4, "master_seed": 11}
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(raw))
+        builds = self.counted_builds(monkeypatch)
+        out = tmp_path / "r.json"
+        assert main(["stress", "--config", str(config), *flags, "--out", str(out)]) == 0
+        assert builds == ["graph"]
+        raw["market"] = {"model": "stress", **market}
+        raw["treasury"]["horizon_months"] = market["horizon_months"]
+        raw["monte_carlo"]["num_paths"] = 1
+        expected = tmp_path / "expected.json"
+        write_report_json(run_scenario(config_from_dict(raw)), expected)
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestSeedRange:

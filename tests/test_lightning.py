@@ -503,6 +503,161 @@ class TestRouteIndexInvalidation:
         assert check() == ("0A", "0E", "EF")
 
 
+class TestHopBound:
+    """The bounded, resumable hop distances keep every route exact."""
+
+    @staticmethod
+    def state(g, sender: str):
+        """The cached search state of a free first hop from ``sender``:
+        ``(labels, frontier, next level, bound, targets)``."""
+        index = g.route_index()
+        return index._hops_past_first[index.node_rank[sender]]
+
+    def test_a_deepened_cache_keeps_routes_exact(self):
+        g = TestSearchWork.grid(9, 1000, 100)
+        src = "g0000"
+        levels = []
+        # Receivers 1, 3, 6, 10 and 16 hops away, then back in.
+        for dst in ["g0001", "g0102", "g0303", "g0505", "g0808", "g0404", "g0100"]:
+            assert find_route(g, src, dst, 10**6) == reference_find_route(g, src, dst, 10**6)
+            labels, _, level, bound, targets = self.state(g, src)
+            assert list(bound) == [min(label, level) for label in labels]
+            assert g.route_index().node_rank[dst] in targets
+            levels.append(level)
+        assert levels == sorted(levels) and levels[-1] == levels[-3] > levels[0]
+        # One search state for the sender, deepened rather than rebuilt.
+        assert list(g.route_index()._hops_past_first) == [g.route_index().node_rank[src]]
+
+    @pytest.mark.parametrize("change", ["add_channel", "close_channel"])
+    def test_a_topology_change_drops_a_deepening_search(self, change):
+        g = TestSearchWork.grid(9, 1000, 100)
+        src, far_dst = "g0000", "g0808"
+        find_route(g, src, "g0102", 10**6)
+        shallow = self.state(g, src)
+        assert shallow[1] and shallow[2] < 8  # labels left to resume
+        if change == "add_channel":
+            fee = FeePolicy(1000, 100)
+            g.add_channel(Channel("short", src, "g0707", 10**10, 5 * 10**9, fee, fee))
+        else:
+            ends = {"g0001", "g0002"}
+            g.close_channel(
+                next(ch.id for ch in g.adjacent("g0001") if {ch.node_a, ch.node_b} == ends)
+            )
+        assert g._route_index is None
+        route = find_route(g, src, far_dst, 10**6)
+        assert route == reference_find_route(g, src, far_dst, 10**6)
+        assert self.state(g, src) is not shallow
+        if change == "add_channel":
+            assert route.hops[0].channel_id == "short"
+
+    DETOURS = {
+        # The cheap route runs through C, which the hop search never reaches:
+        # it lies as deep as the receiver, and must read no deeper.
+        "behind": ("SA AR SB BC CD DR", "AR"),
+        # The cheap route steps from R to Z, as far from S as R is: the
+        # marker for R's held directions must pop before the dear exit A.
+        "sideways": ("SA AR SB BZ ZR", "AR"),
+    }
+
+    @pytest.mark.parametrize("edges, dear", DETOURS.values(), ids=DETOURS)
+    def test_a_cheaper_detour_is_found(self, edges, dear):
+        def chan(edge):
+            fee = {"base_msat": 3500 if edge == dear else 1000, "ppm": 0}
+            return {
+                "id": edge,
+                "a": edge[0],
+                "b": edge[1],
+                "capacity_msat": 10**9,
+                "balance_a_msat": 5 * 10**8,
+                "policy_ab": dict(fee),
+                "policy_ba": dict(fee),
+            }
+
+        edges = edges.split()
+        nodes = sorted(set("".join(edges)))
+        g = build_graph({"nodes": nodes, "hub": "S", "channels": list(map(chan, edges))})
+        route = find_route(g, "S", "R", 10**6)
+        assert route == reference_find_route(g, "S", "R", 10**6)
+        assert route.total_fee_msat == brute_force_route(g, "S", "R", 10**6)[0]
+        assert dear not in {h.channel_id for h in route.hops}
+
+    def test_an_unreachable_receiver_labels_the_whole_component(self):
+        g = TestSearchWork.grid(3, 1000, 100)
+        g.add_node("x1")
+        g.add_node("x2")
+        g.add_channel(Channel("x", "x1", "x2", 10**10, 10**9, FeePolicy(5), FeePolicy(5)))
+        with pytest.raises(NoRouteError):
+            find_route(g, "g0000", "x2", 10**6)
+        labels, frontier, _, bound, _ = self.state(g, "g0000")
+        index = g.route_index()
+        assert not frontier
+        labelled = {index.nodes[v] for v, d in enumerate(labels) if d != lightning._UNLABELLED}
+        assert labelled == {f"g{y:02d}{x:02d}" for y in range(3) for x in range(3)}
+        assert bound[index.node_rank["x1"]] == bound[index.node_rank["x2"]]
+
+
+def long_circle(length: int, policy, hub_cut: bool) -> "lightning.ChannelGraph":
+    """The hub with channels to both ends of a chain of ``length`` nodes, so
+    the one circle runs the whole chain; with ``hub_cut`` the hub also
+    reaches the chain's middle, which a circle cannot use.
+    ``policy(i)`` gives the i-th channel's fee policy as ``(base, ppm)``."""
+    chain = [f"c{i:02d}" for i in range(length)]
+    ends = [("h0", "hub", chain[0]), ("h1", chain[-1], "hub")]
+    if hub_cut:
+        ends.append(("h2", "hub", chain[length // 2]))
+    links = [(f"l{i:02d}", a, b) for i, (a, b) in enumerate(zip(chain, chain[1:]))]
+    channels = []
+    for i, (cid, a, b) in enumerate(ends + links):
+        base, ppm = policy(i)
+        fee = {"base_msat": base, "ppm": ppm}
+        channels.append(
+            {
+                "id": cid,
+                "a": a,
+                "b": b,
+                "capacity_msat": 10**10,
+                "balance_a_msat": 5 * 10**9,
+                "policy_ab": dict(fee),
+                "policy_ba": dict(fee),
+            }
+        )
+    return build_graph({"nodes": ["hub", *chain], "hub": "hub", "channels": channels})
+
+
+class TestRebalanceBound:
+    """Rebalances bound their search by hops from the source channel's peer
+    without the hub; the routes stay the plain Dijkstra's."""
+
+    FEES = {
+        "zero": lambda rng: (lambda i: (0, 0)),
+        "mixed": lambda rng: (lambda i: (rng.choice((0, 1, 1000)), rng.choice((0, 1, 250)))),
+        "paid": lambda rng: (lambda i: (rng.randrange(1, 2000), rng.randrange(0, 500))),
+    }
+
+    @pytest.mark.parametrize("hub_cut", [False, True], ids=["chain", "hub-cut"])
+    @pytest.mark.parametrize("fees", FEES, ids=FEES)
+    def test_the_long_circle_matches_the_oracles(self, fees, hub_cut):
+        rng = random.Random(f"{fees}/{hub_cut}")
+        for length in (2, 5, 12, 30):
+            g = long_circle(length, self.FEES[fees](rng), hub_cut)
+            for out_id, in_id in (("h0", "h1"), ("h1", "h0")):
+                amount = rng.randrange(1, 10**9)
+                want = reference_rebalance_route(g, out_id, in_id, amount)
+                assert want.total_fee_msat == brute_force_rebalance(g, out_id, in_id, amount)
+                result = rebalance(g, out_id, in_id, amount)
+                assert result.route == want
+                assert len(want.hops) == length + 1
+
+    def test_a_circle_only_through_the_hub_is_no_route(self):
+        g = long_circle(6, lambda i: (1000, 100), hub_cut=True)
+        g.close_channel("l02")  # the chain breaks: only the hub joins its halves
+        before = graph_state(g)
+        with pytest.raises(NoRouteError):
+            rebalance(g, "h0", "h1", 10**6)
+        assert brute_force_rebalance(g, "h0", "h1", 10**6) is None
+        assert graph_state(g) == before
+
+
 def _routing_outcome(call):
     """A call's Route, or the class of the routing error it raised."""
     try:
@@ -648,6 +803,28 @@ class TestSearchWork:
         index = g.route_index()
         cached = [index.nodes[v] for v in index._hops_past_first]
         assert cached == senders[4:] + senders[:1]
+
+    def test_a_rebalance_settles_a_corridor(self, monkeypatch):
+        # The hub (g0000) reaches the grid's whole first column, so hops from
+        # the hub barely bound the circle out to g0302 and back from g0806;
+        # hops from g0302 without the hub do.
+        g = self.grid(20, 1000, 100)
+        fee = FeePolicy(1000, 100)
+        ends = [f"g{y:02d}00" for y in range(1, 20)] + ["g0302", "g0806"]
+        for node in ends:
+            g.add_channel(Channel(f"hub-{node}", g.hub, node, 10**10, 10**10, fee, fee))
+        amount = 10**6
+        want = reference_rebalance_route(g, "hub-g0302", "hub-g0806", amount)
+        results = []
+        settled = self.settled_by(
+            monkeypatch,
+            lambda: results.append(rebalance(g, "hub-g0302", "hub-g0806", amount)),
+        )
+        assert results[0].route == want
+        start = (want.amounts_msat[-2], "g0806", g.hub, "hub-g0806")
+        reference, _ = reference_search(g, start, g.hub, {"g0302": [("hub-g0302", 10**10)]}, set())
+        assert len(set(reference) - {g.hub}) > 100
+        assert len(settled) <= 400 // 10
 
     def test_zero_fees_settle_the_reference_nodes(self, monkeypatch):
         rng = random.Random(3)

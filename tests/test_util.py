@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import stdlib_canonical_json
-from satsrail.util import canonical_json, decimal_fraction
+from satsrail import util
+from satsrail.util import apportion_largest_remainder, canonical_json, decimal_fraction
 
 TRICKY_CHARS = st.sampled_from(
     ['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "/", " ", "{", "}", "[", "]"]
@@ -133,6 +134,202 @@ class TestCanonicalJson:
             stdlib_canonical_json(loop)
         with pytest.raises(ValueError):
             canonical_json(loop)
+
+
+# Lists of rows: every row of one list has the first row's shape, the same
+# keys or length and nested containers at the same places, so the list
+# takes ``util._fill_rows``.
+ROW_SHAPES = st.recursive(
+    st.none(),
+    lambda inner: st.one_of(
+        st.dictionaries(STRINGS, inner, max_size=4), st.lists(inner, max_size=3)
+    ),
+    max_leaves=8,
+).filter(lambda shape: shape is not None)
+
+
+def value_of(shape):
+    """Values of ``shape``: a scalar where it holds None."""
+    if shape is None:
+        return SCALARS
+    if isinstance(shape, dict):
+        return st.fixed_dictionaries({key: value_of(inner) for key, inner in shape.items()})
+    return st.tuples(*map(value_of, shape)).map(list)
+
+
+ROWS = ROW_SHAPES.flatmap(lambda shape: st.lists(value_of(shape), min_size=1, max_size=6))
+
+
+def misfits(rows, i, value):
+    """``rows`` with row ``i`` replaced by ``value``, or spliced into it."""
+    rows = list(rows)
+    i %= len(rows)
+    row = rows[i]
+    if isinstance(row, dict) and row and isinstance(value, dict):
+        rows[i] = {**row, **value}  # extra or changed keys
+    elif isinstance(row, dict) and row:
+        rows[i] = {k: v for k, v in row.items() if k != min(row)} | {"~extra": value}
+    elif isinstance(row, list) and row:
+        rows[i] = row[:-1] + [value, value]  # ragged, and a container where a scalar was
+    else:
+        rows[i] = value
+    return rows
+
+
+ROW_CASES = {
+    "empty-dicts": [{}, {}],
+    "empty-lists": [[], [], []],
+    "ragged-keys": [{"a": 1, "b": 2}, {"a": 1}],
+    "ragged-extra-key": [{"a": 1}, {"a": 1, "b": 2}],
+    "same-size-other-key": [{"a": 1, "b": 2}, {"a": 1, "c": 2}],
+    "ragged-lists": [["n1", 1.0], ["n2", 1.0, 2.0]],
+    "list-or-tuple": [["n1", 1.0], ("n2", 1.0)],
+    "policy-is-a-list": [
+        {"id": "c1", "policy_ab": {"base_msat": 1, "ppm": 2}},
+        {"id": "c2", "policy_ab": [1, 2]},
+    ],
+    "policy-extra-key": [
+        {"id": "c1", "policy_ab": {"base_msat": 1, "ppm": 2}},
+        {"id": "c2", "policy_ab": {"base_msat": 1, "ppm": 2, "fee": 0}},
+    ],
+    "policy-is-a-scalar": [{"id": "c1", "p": {"x": 1}}, {"id": "c2", "p": 5}],
+    "scalar-is-a-dict": [{"id": "c1", "p": 5}, {"id": "c2", "p": {"x": 1}}],
+    "non-string-key-in-row-2": [{"a": 1, "b": 2}, {"a": 1, 2: "b"}],
+    "non-string-key-in-row-1": [{1: "a"}, {1: "a"}],
+    "nan-in-a-row": [{"a": 1.0}, {"a": math.nan}],
+    "inf-in-a-nested-row": [{"a": {"b": 1.0}}, {"a": {"b": -math.inf}}],
+    "unsupported-in-a-row": [{"a": 1}, {"a": Fraction(1, 3)}],
+    "record-like-row": [{"a": 1}, {"a": b"x"}],
+    "percent-keys": [{"100%": 1, "%s": {"%%": "%d"}}, {"100%": 2, "%s": {"%%": "%"}}],
+    "a-dict-subclass": [{"a": 1}, type("Row", (dict,), {})(a=2)],
+    "bools-and-nones": [{"a": True, "b": None}, {"a": 0, "b": "x"}],
+    "channels": [
+        {
+            "id": f"m{i:04d}",
+            "a": "n1",
+            "b": "n2",
+            "capacity_msat": 10**9 + i,
+            "balance_a_msat": i,
+            "policy_ab": {"base_msat": 1000, "ppm": 100},
+            "policy_ba": {"base_msat": 1000, "ppm": i % 3},
+        }
+        for i in range(50)
+    ],
+}
+
+
+def contains_itself():
+    """Rows whose second row holds itself where the first row holds a dict."""
+    row = {"a": 1, "b": {"a": 1}}
+    loop = {"a": 2}
+    loop["b"] = loop
+    return [row, loop]
+
+
+def holds_its_list():
+    """Rows whose first row holds the list of rows itself."""
+    rows = [{"a": 1}, {"a": 2}]
+    rows[0]["b"] = rows
+    rows[1]["b"] = rows
+    return rows
+
+
+class TestRows:
+    """Lists of same-shaped rows against the stdlib formula."""
+
+    @pytest.mark.parametrize("rows", ROW_CASES.values(), ids=ROW_CASES.keys())
+    def test_fixed_rows(self, rows):
+        for placed in (rows, {"k": rows, "z": [rows]}, [rows, {"r": tuple(rows)}]):
+            assert outcome(canonical_json, placed) == outcome(stdlib_canonical_json, placed)
+
+    @pytest.mark.parametrize("rows", ROW_CASES.values(), ids=ROW_CASES.keys())
+    def test_fixed_rows_without_the_c_accelerator(self, rows, monkeypatch):
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        assert outcome(canonical_json, rows) == outcome(stdlib_canonical_json, rows)
+
+    @pytest.mark.parametrize("make", [contains_itself, holds_its_list])
+    def test_rows_that_contain_themselves_raise_value_error(self, make):
+        with pytest.raises(ValueError):
+            stdlib_canonical_json(make())
+        with pytest.raises(ValueError):
+            canonical_json(make())
+
+    def test_rows_of_one_shape_take_one_template(self):
+        rows = ROW_CASES["channels"]
+        out: list = []
+        assert util._fill_rows(rows, 2, out) is not None
+        # Row by row, in key order: a, b, balance, capacity, id, then each policy.
+        assert len(out) == 9 * len(rows)
+        assert out[:9] == ["n1", "n2", 0, 10**9, "m0000", 1000, 100, 1000, 0]
+        for name in ("ragged-keys", "policy-extra-key", "non-string-key-in-row-2"):
+            out = []
+            assert util._fill_rows(ROW_CASES[name], 2, out) is None and out == []
+
+    @given(ROWS)
+    @settings(max_examples=120, deadline=None)
+    def test_rows_match_the_stdlib_formula(self, rows):
+        for placed in (rows, {"k": rows}):
+            assert outcome(canonical_json, placed) == outcome(stdlib_canonical_json, placed)
+
+    @given(ROWS, st.integers(0, 5), VALUES)
+    @settings(max_examples=150, deadline=None)
+    def test_misfit_rows_match_or_raise_like_the_stdlib(self, rows, i, value):
+        rows = misfits(rows, i, value)
+        for placed in (rows, {"k": rows}):
+            assert outcome(canonical_json, placed) == outcome(stdlib_canonical_json, placed)
+
+
+def fraction_apportion(total, weights):
+    """The largest-remainder formula in ``Fraction`` arithmetic: the
+    reference ``apportion_largest_remainder`` must equal."""
+    grand = Fraction(0)
+    for key, w in weights:
+        if Fraction(w) <= 0:
+            raise ValueError(f"weight for {key!r} must be positive")
+        grand += Fraction(w)
+    quotas = [(key, Fraction(total) * Fraction(w) / grand) for key, w in weights]
+    parts = {key: int(q) for key, q in quotas}
+    leftover = total - sum(parts.values())
+    by_remainder = sorted(quotas, key=lambda kq: (-(kq[1] - int(kq[1])), kq[0]))
+    for key, _ in by_remainder[:leftover]:
+        parts[key] += 1
+    return parts
+
+
+WEIGHTS = st.one_of(
+    st.integers(1, 10**6),
+    st.decimals(min_value="0.001", max_value="1000", places=3).map(float),
+    st.sampled_from([0.1, 0.2, 0.3, 1.0, 1.5, 2.5, 1e-9, 3.0]),
+)
+
+
+class TestApportion:
+    @given(
+        st.one_of(st.just(0), st.integers(0, 20), st.integers(0, 10**15)),
+        st.lists(st.tuples(st.sampled_from("abcdefgh"), WEIGHTS), min_size=1, max_size=8),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_fraction_formula(self, total, weights):
+        assert apportion_largest_remainder(total, weights) == fraction_apportion(total, weights)
+
+    @pytest.mark.parametrize(
+        "total, weights, parts",
+        [
+            (2, [("a", 0.3), ("b", 0.1)], {"a": 1, "b": 1}),  # 0.1 is a hair over 1/10
+            (1, [("b", 1), ("a", 1)], {"a": 1, "b": 0}),  # a tie breaks by key
+            (3, [("c", 2), ("b", 2), ("a", 2), ("d", 2)], {"a": 1, "b": 1, "c": 1, "d": 0}),
+            (0, [("a", 0.5), ("b", 7)], {"a": 0, "b": 0}),
+        ],
+    )
+    def test_ties_and_zero(self, total, weights, parts):
+        assert apportion_largest_remainder(total, weights) == parts == fraction_apportion(
+            total, weights
+        )
+
+    @pytest.mark.parametrize("weight", [0, 0.0, -1, -0.5])
+    def test_a_weight_that_is_not_positive_is_refused(self, weight):
+        with pytest.raises(ValueError, match="weight for 'b' must be positive"):
+            apportion_largest_remainder(10, [("a", 1), ("b", weight)])
 
 
 def test_decimal_fraction_is_exact_on_every_call():
