@@ -430,21 +430,24 @@ def _run_rebalances(
     hub = graph.hub
     cost = 0
     volume = 0
-    for poor in sorted(graph.hub_channels(), key=lambda ch: ch.id):
+    # A rebalance moves balances only, so the hub's channels stay the same.
+    channels = sorted(graph.hub_channels(), key=lambda ch: ch.id)
+    for poor in channels:
         bal = poor.balance_from(hub)
         if bal >= policy.low_watermark * poor.capacity_msat:
             continue
         amount = poor.capacity_msat // 2 - bal
         if amount <= 0:
             continue
-        donors = [
-            ch
-            for ch in graph.hub_channels()
-            if ch.id != poor.id and ch.balance_from(hub) > amount
-        ]
-        if not donors:
+        # The donor has the largest (balance, id) of the other channels,
+        # and more than ``amount``; ids ascend, so the last of equals wins.
+        donor, most = None, amount + 1
+        for ch in channels:
+            balance = ch.balance_from(hub)
+            if balance >= most and ch is not poor:
+                donor, most = ch, balance
+        if donor is None:
             continue
-        donor = max(donors, key=lambda ch: (ch.balance_from(hub), ch.id))
         fee_cap = floor_bps(amount, policy.max_fee_bps)
         try:
             result = rebalance(graph, donor.id, poor.id, amount, max_fee_msat=fee_cap)

@@ -19,6 +19,7 @@ import functools
 import heapq
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -382,16 +383,15 @@ class Route:
     total_fee_msat: int
 
     def __post_init__(self):
-        if len(self.hops) != len(self.amounts_msat) or len(self.hops) != len(
-            self.fees_msat
-        ):
+        hops, amounts, fees = self.hops, self.amounts_msat, self.fees_msat
+        if len(hops) != len(amounts) or len(hops) != len(fees):
             raise ValueError("hops, amounts and fees must align")
-        if self.fees_msat and self.fees_msat[0] != 0:
+        if fees and fees[0] != 0:
             raise ValueError("the sender's hop carries no fee")
-        for i in range(1, len(self.hops)):
-            if self.amounts_msat[i - 1] - self.amounts_msat[i] != self.fees_msat[i]:
+        for i in range(1, len(fees)):
+            if amounts[i - 1] - amounts[i] != fees[i]:
                 raise ValueError("amounts must decrease hop-to-hop by the fee")
-        if self.total_fee_msat != sum(self.fees_msat):
+        if self.total_fee_msat != sum(fees):
             raise ValueError("total fee must equal the sum of hop fees")
 
 
@@ -599,26 +599,21 @@ def _trace_route(
     """The route ``sender`` -> ``first`` over ``channel``, then along the
     settled entries' next nodes to ``receiver``, which gets ``amount_msat``.
     """
-    path, channels = [sender, first], [channel]
-    while path[-1] != receiver:
-        _, _, _, nxt, via = settled[path[-1]]
-        path.append(nxt)
-        channels.append(via)
     names, ids, known = index.nodes, index.channel_ids, index._hop_objects
-    hops = []
-    for c, frm, to in zip(channels, path, path[1:]):
-        hop = known.get((c, frm))
+    hops, amounts = [], []
+    frm, to = sender, first
+    while True:
+        hop = known.get((channel, frm))
         if hop is None:
-            hop = known[c, frm] = Hop(ids[c], names[frm], names[to])
+            hop = known[channel, frm] = Hop(ids[channel], names[frm], names[to])
         hops.append(hop)
-    amounts = tuple(settled[v][1] for v in path[1:-1]) + (amount_msat,)
-    fees = (0,) + tuple(amounts[i - 1] - amounts[i] for i in range(1, len(amounts)))
-    return Route(
-        hops=tuple(hops),
-        amounts_msat=amounts,
-        fees_msat=fees,
-        total_fee_msat=amounts[0] - amount_msat,
-    )
+        if to == receiver:
+            break
+        _, required, frm, to, channel = settled[to]
+        amounts.append(required)
+    amounts.append(amount_msat)
+    fees = (0, *map(operator.sub, amounts, amounts[1:]))
+    return Route(tuple(hops), tuple(amounts), fees, amounts[0] - amount_msat)
 
 
 def find_route(
@@ -686,27 +681,26 @@ def execute_payment(
     graph untouched. On success every hop shifts by its entering amount, so
     each intermediary nets exactly its fee.
     """
-    if not route.hops:
+    hops, amounts = route.hops, route.amounts_msat
+    if not hops:
         raise ValueError("empty route")
-    if route.amounts_msat[-1] != amount_msat:
+    if amounts[-1] != amount_msat:
         raise ValueError("route does not deliver the requested amount")
-    channels = []
-    for hop in route.hops:
-        ch = graph.channels.get(hop.channel_id)
+    get, channels = graph.channels.get, []
+    for hop in hops:
+        ch = get(hop.channel_id)
         if ch is None or not ch.open:
             raise StaleRouteError(f"channel {hop.channel_id} is closed or missing")
         ends = (hop.from_node, hop.to_node)
         if ends != (ch.node_a, ch.node_b) and ends != (ch.node_b, ch.node_a):
             raise StaleRouteError(f"channel {hop.channel_id} endpoints changed")
         channels.append(ch)
-    for i, (hop, ch) in enumerate(zip(route.hops, channels)):
-        if ch.balance_from(hop.from_node) < route.amounts_msat[i]:
-            return PaymentResult(
-                PaymentStatus.INSUFFICIENT_BALANCE, route=route, failed_hop=i
-            )
-    for i, (hop, ch) in enumerate(zip(route.hops, channels)):
-        ch.shift(hop.from_node, route.amounts_msat[i])
-    return PaymentResult(PaymentStatus.SETTLED, route=route)
+    for i, (hop, ch, amount) in enumerate(zip(hops, channels, amounts)):
+        if ch.balance_from(hop.from_node) < amount:
+            return PaymentResult(PaymentStatus.INSUFFICIENT_BALANCE, route, i)
+    for hop, ch, amount in zip(hops, channels, amounts):
+        ch.shift(hop.from_node, amount)
+    return PaymentResult(PaymentStatus.SETTLED, route)
 
 
 def send_payment(

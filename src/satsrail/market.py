@@ -43,10 +43,6 @@ class PricePath:
             raise ValueError("all prices must be positive")
 
     @property
-    def start_price(self) -> int:
-        return self.prices[0]
-
-    @property
     def horizon_months(self) -> int:
         return len(self.prices) - 1
 

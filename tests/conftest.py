@@ -18,7 +18,10 @@ from satsrail.lightning import (
     FeeCapExceededError,
     Hop,
     NoRouteError,
+    PaymentResult,
+    PaymentStatus,
     Route,
+    StaleRouteError,
     build_graph,
     hop_fee,
 )
@@ -524,3 +527,50 @@ def reference_rebalance_route(
     if max_fee_msat is not None and best[0] - amount_msat > max_fee_msat:
         raise FeeCapExceededError("over the cap")
     return _reference_trace(settled, hub, best, hub, amount_msat)
+
+
+def reference_execute_payment(graph: ChannelGraph, route: Route, amount_msat: int) -> PaymentResult:
+    """``execute_payment`` as first written, indexing the route hop by hop:
+    every hop's channel is checked, then every balance, then all shift."""
+    if not route.hops:
+        raise ValueError("empty route")
+    if route.amounts_msat[-1] != amount_msat:
+        raise ValueError("route does not deliver the requested amount")
+    channels = []
+    for hop in route.hops:
+        ch = graph.channels.get(hop.channel_id)
+        if ch is None or not ch.open:
+            raise StaleRouteError(f"channel {hop.channel_id} is closed or missing")
+        ends = (hop.from_node, hop.to_node)
+        if ends != (ch.node_a, ch.node_b) and ends != (ch.node_b, ch.node_a):
+            raise StaleRouteError(f"channel {hop.channel_id} endpoints changed")
+        channels.append(ch)
+    for i, (hop, ch) in enumerate(zip(route.hops, channels)):
+        if ch.balance_from(hop.from_node) < route.amounts_msat[i]:
+            return PaymentResult(PaymentStatus.INSUFFICIENT_BALANCE, route=route, failed_hop=i)
+    for i, (hop, ch) in enumerate(zip(route.hops, channels)):
+        ch.shift(hop.from_node, route.amounts_msat[i])
+    return PaymentResult(PaymentStatus.SETTLED, route=route)
+
+
+def reference_send_payment(
+    graph: ChannelGraph, src: str, dst: str, amount_msat: int, max_fee_msat=None, max_retries=0
+) -> PaymentResult:
+    """``send_payment``'s retry loop over :func:`reference_find_route` and
+    :func:`reference_execute_payment`: a direction that fails on balance is
+    excluded from the next search."""
+    excluded: set = set()
+    result = None
+    for _ in range(max_retries + 1):
+        try:
+            route = reference_find_route(graph, src, dst, amount_msat, max_fee_msat, excluded)
+        except NoRouteError:
+            return PaymentResult(PaymentStatus.NO_ROUTE)
+        except FeeCapExceededError:
+            return PaymentResult(PaymentStatus.FEE_CAP_EXCEEDED)
+        result = reference_execute_payment(graph, route, amount_msat)
+        if result.status is not PaymentStatus.INSUFFICIENT_BALANCE:
+            return result
+        failed = route.hops[result.failed_hop]
+        excluded.add((failed.channel_id, failed.from_node))
+    return result

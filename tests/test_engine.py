@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import math
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -41,9 +42,9 @@ from satsrail.engine import (
     write_report_csv,
     write_report_json,
 )
-from satsrail.lightning import FeePolicy, build_graph
+from satsrail.lightning import FeePolicy, RoutingError, build_graph, rebalance
 from satsrail.market import GbmParams
-from satsrail.money import SATS_PER_BTC
+from satsrail.money import SATS_PER_BTC, floor_bps
 from satsrail.rail import Merchant, month_rail_cashflow
 from satsrail.treasury import TreasuryConfig, VarCheck
 from satsrail.treasury import no_forced_sale
@@ -394,6 +395,125 @@ class TestSleeveDeployment:
         config = config_from_dict(raw)
         result = run_path(config, 0)
         assert result.months[0].sleeve_deployed_msat == 500_000 * 1_000
+
+
+def listed_donor_rebalances(graph, policy, seen: dict) -> tuple[int, int]:
+    """``engine._run_rebalances`` with the donor picked as first written: list
+    the other hub channels holding more than the amount, then take the one
+    of largest (balance, id). Counts the cases in ``seen``."""
+    if policy.low_watermark <= 0.0:
+        return 0, 0
+    hub = graph.hub
+    cost = 0
+    volume = 0
+    poor_channels = 0
+    for poor in sorted(graph.hub_channels(), key=lambda ch: ch.id):
+        bal = poor.balance_from(hub)
+        if bal >= policy.low_watermark * poor.capacity_msat:
+            continue
+        amount = poor.capacity_msat // 2 - bal
+        if amount <= 0:
+            continue
+        poor_channels += 1
+        donors = [
+            ch
+            for ch in graph.hub_channels()
+            if ch.id != poor.id and ch.balance_from(hub) > amount
+        ]
+        others = [ch.balance_from(hub) for ch in graph.hub_channels() if ch is not poor]
+        seen["richest_other_at_amount"] += max(others) == amount
+        if not donors:
+            seen["no_donor"] += 1
+            continue
+        richest = max(graph.hub_channels(), key=lambda ch: (ch.balance_from(hub), ch.id))
+        seen["poor_is_richest"] += richest is poor
+        donor = max(donors, key=lambda ch: (ch.balance_from(hub), ch.id))
+        seen["tied_donors"] += [ch.balance_from(hub) for ch in donors].count(
+            donor.balance_from(hub)
+        ) > 1
+        fee_cap = floor_bps(amount, policy.max_fee_bps)
+        try:
+            result = rebalance(graph, donor.id, poor.id, amount, max_fee_msat=fee_cap)
+        except RoutingError:
+            continue
+        if result.settled:
+            seen["settled"] += 1
+            cost += result.cost_msat
+            volume += amount
+    seen["several_poor"] += poor_channels > 1
+    return cost, volume
+
+
+class TestRebalancePolicy:
+    @staticmethod
+    def _hub_graph(rng: random.Random) -> dict:
+        """A hub with channels of random size and hub balance to a ring of
+        peers, some of them twice, and cheap, deep channels around the ring."""
+        peers = [f"p{i}" for i in range(rng.randint(3, 7))]
+        channels = []
+        fees = rng.choice((0, 1, 1, 1))  # on a free circle a donor needs just the amount
+
+        def channel(cid, a, b, capacity, balance_a):
+            policy = lambda: {
+                "base_msat": rng.randrange(0, 1_000) * fees,
+                "ppm": rng.randrange(0, 2_000) * fees,
+            }
+            channels.append(
+                {
+                    "id": cid,
+                    "a": a,
+                    "b": b,
+                    "capacity_msat": capacity,
+                    "balance_a_msat": balance_a,
+                    "policy_ab": policy(),
+                    "policy_ba": policy(),
+                }
+            )
+
+        for i, peer in enumerate(peers):
+            capacity = rng.choice((1, 2, 4, 16)) * rng.randrange(500_000, 1_000_000)
+            balance = int(capacity * rng.random() ** 2)
+            channel(f"h{i}0", "hub", peer, capacity, balance)
+            if rng.random() < 0.3:  # a twin, or a second channel of its own
+                if rng.random() < 0.5:
+                    capacity = rng.choice((1, 2, 4, 16)) * rng.randrange(500_000, 1_000_000)
+                    balance = int(capacity * rng.random() ** 2)
+                channel(f"h{i}1", "hub", peer, capacity, balance)
+            channel(f"r{i}", peer, peers[i - 1], 20_000_000, 10_000_000)
+        if rng.random() < 0.4:  # the richest other channel holds about what one needs
+            hub_channels = [ch for ch in channels if ch["a"] == "hub"]
+            poor, other = rng.sample(hub_channels, 2)
+            poor["balance_a_msat"] = rng.randrange(0, poor["capacity_msat"] // 5)
+            amount = poor["capacity_msat"] // 2 - poor["balance_a_msat"]
+            for ch in hub_channels:
+                if ch is not poor:
+                    ch["balance_a_msat"] = min(ch["balance_a_msat"], amount - 1)
+            other["capacity_msat"] = max(other["capacity_msat"], amount + 1)
+            other["balance_a_msat"] = amount + rng.choice((-1, 0, 0, 1))
+        return {"nodes": ["hub", *peers], "hub": "hub", "channels": channels}
+
+    def test_the_donor_matches_the_listed_maximum(self):
+        rng = random.Random(41)
+        cases = (
+            "no_donor",
+            "richest_other_at_amount",
+            "poor_is_richest",
+            "tied_donors",
+            "several_poor",
+            "settled",
+        )
+        seen = dict.fromkeys(cases, 0)
+        for trial in range(400):
+            spec = self._hub_graph(rng)
+            g, listed = build_graph(spec), build_graph(spec)
+            policy = engine.RebalancePolicyConfig(
+                low_watermark=rng.choice((0.2, 0.35, 0.5, 0.5)),
+                max_fee_bps=rng.choice((0, 50, 500)),
+            )
+            got = engine._run_rebalances(g, policy)
+            assert got == listed_donor_rebalances(listed, policy, seen), trial
+            assert graph_state(g) == graph_state(listed), trial
+        assert min(seen.values()) > 25, seen
 
 
 class TestCoupledMonotonicity:

@@ -16,9 +16,11 @@ from conftest import (
     chain_spec,
     graph_state,
     random_graph_spec,
+    reference_execute_payment,
     reference_find_route,
     reference_rebalance_route,
     reference_search,
+    reference_send_payment,
     triangle_spec,
 )
 from satsrail import lightning
@@ -26,7 +28,9 @@ from satsrail.lightning import (
     Channel,
     FeeCapExceededError,
     FeePolicy,
+    Hop,
     NoRouteError,
+    PaymentResult,
     PaymentStatus,
     Route,
     RoutingError,
@@ -907,6 +911,116 @@ class TestSendPayment:
     def test_fee_cap_status(self, chain_graph):
         result = send_payment(chain_graph, "A", "C", 1_000_000_000, max_fee_msat=5)
         assert result.status is PaymentStatus.FEE_CAP_EXCEEDED
+
+    def test_each_attempt_calls_find_route_and_execute_payment(self, monkeypatch):
+        # The bench tracer times route search and execution by wrapping these
+        # two module globals; an attempt that bypassed them would go unseen.
+        calls = {"find_route": 0, "execute_payment": 0}
+        for name in calls:
+
+            def counted(*args, _call=getattr(lightning, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(lightning, name, counted)
+        result = send_payment(build_graph(triangle_spec()), "hub", "Y", 1_000_000, max_retries=2)
+        assert result.status is PaymentStatus.SETTLED
+        assert calls == {"find_route": 2, "execute_payment": 2}
+
+    def test_matches_the_reference_loop(self, monkeypatch):
+        """Payment sequences, with rebalances between them, give the same
+        results and leave the same balances as the retry loop in conftest
+        over the reference search and the reference execution."""
+        executions = []
+
+        def counted(*args, _call=lightning.execute_payment):
+            executions.append(None)
+            return _call(*args)
+
+        monkeypatch.setattr(lightning, "execute_payment", counted)
+        rng = random.Random(23)
+        seen = dict.fromkeys(PaymentStatus, 0) | {"retried": 0, "rebalanced": 0}
+        for trial in range(160):
+            spec = random_graph_spec(
+                rng,
+                max_nodes=rng.choice((5, 8, 12)),
+                density=rng.choice((0.45, 0.7)),
+                **TestRouterDifferential.MIXES[trial % len(TestRouterDifferential.MIXES)],
+            )
+            g, ref = build_graph(spec), build_graph(spec)
+            nodes = sorted(g.nodes)
+            hub_chs = sorted(ch.id for ch in g.hub_channels())
+            for step in range(25):
+                if len(hub_chs) >= 2 and rng.random() < 0.2:
+                    out_id, in_id = rng.sample(hub_chs, 2)
+                    hub_balance = g.channels[out_id].balance_from(g.hub)
+                    if not hub_balance:
+                        continue
+                    amount = rng.randrange(1, hub_balance + 1)
+                    cap = rng.choice((None, rng.randrange(0, 10_000)))
+                    got = _routing_outcome(lambda: rebalance(g, out_id, in_id, amount, cap))
+                    if not isinstance(got, type):
+                        got = (got.route, got.payment)
+                        seen["rebalanced"] += got[1].status is PaymentStatus.SETTLED
+
+                    def reference_rebalance():
+                        route = reference_rebalance_route(ref, out_id, in_id, amount, cap)
+                        return route, reference_execute_payment(ref, route, amount)
+
+                    assert got == _routing_outcome(reference_rebalance), (trial, step)
+                else:
+                    src, dst = rng.sample(nodes, 2)
+                    amount = rng.randrange(1, rng.choice((300_000, 300_000, 3_000_000)))
+                    exits = list(g.adjacent(src))
+                    if exits and rng.random() < 0.2:  # all a first hop holds
+                        amount = max(1, rng.choice(exits).balance_from(src))
+                    cap = rng.choice((None, rng.randrange(0, 3_000)))
+                    retries = rng.randrange(0, 4)
+                    executions.clear()
+                    got = send_payment(g, src, dst, amount, cap, retries)
+                    want = reference_send_payment(ref, src, dst, amount, cap, retries)
+                    assert (got.status, got.route, got.failed_hop) == (
+                        want.status,
+                        want.route,
+                        want.failed_hop,
+                    ), (trial, step)
+                    seen[got.status] += 1
+                    seen["retried"] += len(executions) > 1
+                assert graph_state(g) == graph_state(ref), (trial, step)
+        assert min(seen.values()) > 100, seen
+
+
+class TestRouteChecks:
+    """Each invariant a :class:`Route` or :class:`PaymentResult` checks at
+    construction raises its own ``ValueError``."""
+
+    HOPS = (Hop("ab", "A", "B"), Hop("bc", "B", "C"), Hop("cd", "C", "D"))
+
+    def test_a_consistent_route_builds(self):
+        route = Route(self.HOPS, (1_300, 1_100, 1_000), (0, 200, 100), 300)
+        assert PaymentResult(PaymentStatus.SETTLED, route).failed_hop is None
+
+    @pytest.mark.parametrize(
+        "amounts, fees, total, message",
+        [
+            ((1_300, 1_100, 1_000), (0, 200), 200, "hops, amounts and fees must align"),
+            ((1_300, 1_000), (0, 200, 100), 300, "hops, amounts and fees must align"),
+            ((1_300, 1_100, 1_000), (5, 200, 100), 305, "the sender's hop carries no fee"),
+            ((1_300, 1_100, 1_000), (0, 199, 100), 299, "amounts must decrease hop-to-hop"),
+            ((1_300, 1_100, 1_000), (0, 200, 101), 301, "amounts must decrease hop-to-hop"),
+            ((1_300, 1_100, 1_000), (0, 200, 100), 301, "total fee must equal the sum"),
+        ],
+    )
+    def test_an_inconsistent_route_raises(self, amounts, fees, total, message):
+        with pytest.raises(ValueError, match=message):
+            Route(self.HOPS, amounts, fees, total)
+
+    @pytest.mark.parametrize("route, failed_hop", [(None, None), (None, 0), ("route", 0)])
+    def test_settled_needs_a_route_and_no_failed_hop(self, route, failed_hop):
+        if route == "route":
+            route = Route(self.HOPS[:1], (1_000,), (0,), 0)
+        with pytest.raises(ValueError, match="settled implies a route and no failed hop"):
+            PaymentResult(PaymentStatus.SETTLED, route, failed_hop)
 
 
 class TestDeploySleeve:

@@ -67,7 +67,7 @@ class TestGbmPath:
         path = gen_gbm_path(GbmParams(mu, sigma, months), 50_000_00, seed)
         assert len(path.prices) == months + 1
         assert all(p >= 1 for p in path.prices)
-        assert path.start_price == 50_000_00
+        assert path.prices[0] == 50_000_00
 
 
 class TestStressPath:
