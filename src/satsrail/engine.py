@@ -2,11 +2,12 @@
 
 Each path owns a copy of the config's starting graph (the spec's channels
 with the sleeve deployed, built once when the config is made) and its own
-merchant roster, and walks the horizon month by month: price step, stress
-trigger, payment batch, hedged settlement, treasury step, churn, VaR
-compliance check. Paths are pure functions of (config, master seed, path
-index), so scenarios can run serially or in a process pool with
-byte-identical reports.
+merchant roster. ``run_path`` folds over the months, and each month runs
+the same stages in order: market (price, drawdown, stress trigger), payment
+plan, payments, rebalances, cash flow (sampled-to-intended scaling, fee
+stack), treasury step, churn and VaR check. Paths are pure functions of
+(config, master seed, path index), so scenarios can run serially or in a
+process pool with byte-identical reports.
 
 Two accounting planes coexist and are reconciled, never mixed:
 
@@ -29,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .lightning import (
     ChannelGraph,
@@ -45,6 +47,7 @@ from .market import GbmParams, PricePath, StressShape, gen_gbm_path, gen_stress_
 from .money import MSAT_PER_SAT, floor_bps, msat_to_cents
 from .rail import (
     Merchant,
+    PaymentPlan,
     RailMonthRecord,
     TicketParams,
     acquiring_fee,
@@ -459,144 +462,142 @@ def _run_rebalances(
     return cost, volume
 
 
-@dataclass
-class _MerchantTally:
-    settled_count: int = 0
-    settled_msat: int = 0
-    hub_fee_msat: int = 0
+def _market(
+    path: PricePath, graph: ChannelGraph, trigger: StressTriggerConfig
+) -> Iterator[tuple[int, int, float, int | None]]:
+    """The market stage: each month's ``(month, price, drawdown, freed)``.
+
+    The drawdown is from the running peak. The trigger fires when the
+    drawdown reaches the threshold and re-arms once it is back below it, so
+    it fires once per drawdown episode; ``freed`` is the hub-side msat the
+    sleeve shrink frees, None in a month the trigger does not fire.
+    """
+    peak = path.prices[0]
+    armed = True
+    for month, price in enumerate(path.prices[1:], 1):
+        peak = max(peak, price)
+        drawdown = 1.0 - price / peak
+        freed = None
+        if armed and drawdown >= trigger.drawdown_threshold:
+            freed = shrink_sleeve(graph, trigger.shrink_target)
+        armed = drawdown < trigger.drawdown_threshold
+        yield month, price, drawdown, freed
+
+
+def _send_payments(
+    graph: ChannelGraph, plan: PaymentPlan, max_retries: int
+) -> dict[str, tuple[int, int, int]]:
+    """The payments stage: send the plan; per merchant with a settled payment,
+    the settled count and msat and the hub's forwarding fees on them."""
+    hub = graph.hub
+    settled: dict[str, tuple[int, int, int]] = {}
+    for req in plan.requests:
+        result = send_payment(
+            graph, req.payer, req.merchant, req.amount_msat, max_retries=max_retries
+        )
+        if result.status is PaymentStatus.SETTLED:
+            # The sender's first hop carries no fee, so it adds 0 from the hub.
+            hops = zip(result.route.hops, result.route.fees_msat)
+            fee = sum(f for hop, f in hops if hop.from_node == hub)
+            count, msat, fees = settled.get(req.merchant, (0, 0, 0))
+            settled[req.merchant] = (count + 1, msat + req.amount_msat, fees + fee)
+    return settled
+
+
+def _rail_month(
+    month: int,
+    price: int,
+    active: list[Merchant],
+    plan: PaymentPlan,
+    settled: dict[str, tuple[int, int, int]],
+    rebal_cost_msat: int,
+    rail: RailEconomicsConfig,
+) -> RailMonthRecord:
+    """The cash-flow stage: each merchant's tallies scale by intended/sampled,
+    floored, before the fee stack applies; returns the month's record."""
+    gmv = acquiring = spread = sats_back = tx_settled = hub_fee_msat = 0
+    for m in active:
+        n_sampled = plan.sampled[m.id]
+        if not n_sampled:
+            continue
+        tally = settled.get(m.id, (0, 0, 0))
+        count, msat, fees = (x * plan.intended[m.id] // n_sampled for x in tally)
+        gross = msat_to_cents(msat, price)
+        if m.settle_mode == "fiat":
+            spread += hedge_settlement(msat, price, rail.spread_bps)[1]
+        acquiring += acquiring_fee(gross, m.take_rate_bps)
+        sats_back += sats_back_outlay(gross, m.sats_back_bps)
+        gmv += gross
+        tx_settled += count
+        hub_fee_msat += fees
+    return month_rail_cashflow(
+        month=month,
+        gmv_cents=gmv,
+        tx_count=sum(plan.intended.values()),
+        tx_settled=tx_settled,
+        acquiring_fee_cents=acquiring,
+        hedge_spread_cents=spread,
+        routing_fee_cents=msat_to_cents(hub_fee_msat, price),
+        rebalancing_cost_cents=msat_to_cents(rebal_cost_msat, price),
+        sats_back_cents=sats_back,
+        variable_cost_cents=floor_bps(gmv, rail.variable_cost_bps),
+    )
 
 
 def run_path(config: ScenarioConfig, path_index: int) -> PathResult:
-    """Run one simulation path; deterministic in (config, seed, index)."""
+    """Run one path, a fold over its months; deterministic in (config, seed, index)."""
     graph = config._graph.copy()
     tcfg = config.treasury
+    rail = config.rail
     path = _price_path(config, path_index)
     merchants = list(config.merchants)
     merchant_nodes = {m.id for m in config.merchants}
     payer_pool = sorted(graph.nodes - {graph.hub} - merchant_nodes) or [graph.hub]
     rail_seed = child_seed(config.monte_carlo.master_seed, path_index, "rail")
+    sigma = config.sigma_monthly()
 
     state = initial_state(tcfg)
     active0 = sum(1 for m in merchants if m.active)
-    peak = path.prices[0]
-    armed = True
     months: list[MonthResult] = []
 
-    for month in range(1, tcfg.horizon_months + 1):
-        price = path.prices[month]
-        peak = max(peak, price)
-        drawdown = 1.0 - price / peak
-
-        shrink_fired = False
-        freed = 0
-        if armed:
-            if drawdown >= config.stress_trigger.drawdown_threshold:
-                freed = shrink_sleeve(graph, config.stress_trigger.shrink_target)
-                shrink_fired = True
-                armed = False
-        elif drawdown < config.stress_trigger.drawdown_threshold:
-            armed = True
-
+    for month, price, drawdown, freed in _market(path, graph, config.stress_trigger):
         active = [m for m in merchants if m.active]
         plan = gen_monthly_payments(
             active,
             month,
             price,
             rail_seed,
-            config.rail.tickets,
+            rail.tickets,
             payer_pool,
             max_payments=config.payment_cap_per_month,
         )
-        tallies: dict[str, _MerchantTally] = {m.id: _MerchantTally() for m in active}
-        for req in plan.requests:
-            result = send_payment(
-                graph,
-                req.payer,
-                req.merchant,
-                req.amount_msat,
-                max_fee_msat=None,
-                max_retries=config.rail.max_route_retries,
-            )
-            if result.status is PaymentStatus.SETTLED:
-                tally = tallies[req.merchant]
-                tally.settled_count += 1
-                tally.settled_msat += req.amount_msat
-                route = result.route
-                for i in range(1, len(route.hops)):
-                    if route.hops[i].from_node == graph.hub:
-                        tally.hub_fee_msat += route.fees_msat[i]
-
+        settled = _send_payments(graph, plan, rail.max_route_retries)
         rebal_cost_msat, rebal_volume_msat = _run_rebalances(
             graph, config.rebalance_policy
         )
-
-        gmv_settled = 0
-        acquiring_total = 0
-        spread_total = 0
-        satsback_total = 0
-        hub_fee_msat_total = 0
-        tx_count = sum(plan.intended.values())
-        tx_settled = 0
-        for m in sorted(active, key=lambda m: m.id):
-            n_intended = plan.intended[m.id]
-            n_sampled = plan.sampled[m.id]
-            if n_sampled == 0 or n_intended == 0:
-                continue
-            tally = tallies[m.id]
-            settled_msat = tally.settled_msat * n_intended // n_sampled
-            settled_count = tally.settled_count * n_intended // n_sampled
-            hub_fee_msat = tally.hub_fee_msat * n_intended // n_sampled
-            gross = msat_to_cents(settled_msat, price)
-            if m.settle_mode == "fiat":
-                _, spread = hedge_settlement(settled_msat, price, config.rail.spread_bps)
-                spread_total += spread
-            acquiring_total += acquiring_fee(gross, m.take_rate_bps)
-            satsback_total += sats_back_outlay(gross, m.sats_back_bps)
-            gmv_settled += gross
-            tx_settled += settled_count
-            hub_fee_msat_total += hub_fee_msat
-
-        record = month_rail_cashflow(
-            month=month,
-            gmv_cents=gmv_settled,
-            tx_count=tx_count,
-            tx_settled=tx_settled,
-            acquiring_fee_cents=acquiring_total,
-            hedge_spread_cents=spread_total,
-            routing_fee_cents=msat_to_cents(hub_fee_msat_total, price),
-            rebalancing_cost_cents=msat_to_cents(rebal_cost_msat, price),
-            sats_back_cents=satsback_total,
-            variable_cost_cents=floor_bps(gmv_settled, config.rail.variable_cost_bps),
-        )
-
+        record = _rail_month(month, price, active, plan, settled, rebal_cost_msat, rail)
         earned = step_treasury(state, tcfg, price, record.net_inflow_cents)
-
         merchants, churn_rate = apply_churn(
             merchants,
             record.success_rate,
             rail_seed,
             month,
-            base_churn=config.rail.base_churn,
-            sensitivity=config.rail.churn_sensitivity,
+            base_churn=rail.base_churn,
+            sensitivity=rail.churn_sensitivity,
         )
-
         rebal_volume_cents = msat_to_cents(rebal_volume_msat, price)
         sleeve_msat = graph.node_balance_msat(graph.hub)
         var_cents = sleeve_var(
-            msat_to_cents(sleeve_msat, price),
-            config.sigma_monthly(),
-            tcfg.var_confidence,
+            msat_to_cents(sleeve_msat, price), sigma, tcfg.var_confidence
         )
-        check = var_cap_check(var_cents, state.cash_cents, tcfg.var_cap_fraction)
-
         months.append(
             MonthResult(
                 month=month,
                 price_cents=price,
                 drawdown=drawdown,
-                shrink_fired=shrink_fired,
-                freed_msat=freed,
-                sampled_tx=sum(plan.sampled.values()),
+                shrink_fired=freed is not None,
+                freed_msat=freed or 0,
+                sampled_tx=len(plan.requests),
                 rail=record,
                 kpi=kpi_month(
                     record, rebal_volume_cents, tcfg.opex_monthly_cents, churn_rate
@@ -605,7 +606,7 @@ def run_path(config: ScenarioConfig, path_index: int) -> PathResult:
                 yield_cents=earned,
                 cash_cents=state.cash_cents,
                 sleeve_deployed_msat=sleeve_msat,
-                var=check,
+                var=var_cap_check(var_cents, state.cash_cents, tcfg.var_cap_fraction),
             )
         )
 

@@ -63,6 +63,12 @@ class TicketParams:
             raise ValueError("ticket sigma must be non-negative")
         if not 0 < self.min_ticket_cents <= self.max_ticket_cents:
             raise ValueError("ticket bounds must satisfy 0 < min <= max")
+        try:
+            finite = math.isfinite(self.mean_ticket_cents)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("mean ticket median * exp(sigma^2 / 2) overflows a float")
 
     @property
     def mean_ticket_cents(self) -> float:
@@ -122,18 +128,15 @@ def gen_monthly_payments(
     total = sum(intended.values())
     if max_payments is not None and total > max_payments:
         weighted = [(mid, n) for mid, n in sorted(intended.items()) if n > 0]
-        sampled = apportion_largest_remainder(max_payments, weighted)
-        for mid, n in weighted:
-            if sampled[mid] == 0:
-                sampled[mid] = 1
-        for m in active:
-            sampled.setdefault(m.id, 0)
+        parts = apportion_largest_remainder(max_payments, weighted)
+        sampled = {
+            mid: max(parts.get(mid, 0), min(n, 1)) for mid, n in intended.items()
+        }
     else:
         sampled = dict(intended)
     requests: list[PaymentRequest] = []
     for m in sorted(active, key=lambda m: m.id):
-        count = min(sampled[m.id], intended[m.id])
-        sampled[m.id] = count
+        count = sampled[m.id]
         if count == 0:
             continue
         rng = stream(child_seed(seed, month, m.id))
@@ -202,21 +205,15 @@ def apply_churn(
         raise ValueError("success rate must be in [0, 1]")
     p = min(1.0, max(0.0, base_churn + sensitivity * (1.0 - month_success_rate)))
     updated: list[Merchant] = []
-    active_before = 0
-    churned = 0
+    active_before = churned = 0
     for m in merchants:
-        if not m.active:
-            updated.append(m)
-            continue
-        active_before += 1
-        u = uniform(child_seed(seed, month, m.id, "churn"))
-        if u < p:
-            churned += 1
-            updated.append(replace(m, active=False))
-        else:
-            updated.append(m)
-    rate = churned / active_before if active_before else 0.0
-    return updated, rate
+        if m.active:
+            active_before += 1
+            if uniform(child_seed(seed, month, m.id, "churn")) < p:
+                churned += 1
+                m = replace(m, active=False)
+        updated.append(m)
+    return updated, churned / active_before if active_before else 0.0
 
 
 @dataclass(frozen=True)
@@ -251,15 +248,8 @@ class RailMonthRecord:
             raise ValueError("rail record components must be non-negative")
         if self.tx_settled > self.tx_count:
             raise ValueError("settled transactions cannot exceed attempted")
-        expected = (
-            self.acquiring_fee_cents
-            + self.hedge_spread_cents
-            + self.routing_fee_cents
-            - self.rebalancing_cost_cents
-            - self.sats_back_cents
-            - self.variable_cost_cents
-        )
-        if self.net_inflow_cents != expected:
+        # The net is the revenue (acquiring, spread, routing) less the costs.
+        if self.net_inflow_cents != sum(components[3:6]) - sum(components[6:]):
             raise ValueError("net inflow does not match its components")
 
     @property

@@ -54,8 +54,8 @@ class TreasuryConfig:
     survival_mode: str = "pathwise"
 
     def __post_init__(self):
-        if self.btc_core_sats < 0:
-            raise ValueError("btc_core_sats must be non-negative")
+        if not 0 <= self.btc_core_sats <= 21_000_000 * SATS_PER_BTC:
+            raise ValueError("btc_core_sats must be in [0, 2.1e15], the BTC supply")
         if self.cash0_cents < 0:
             raise ValueError("cash0_cents must be non-negative")
         if min(self.opex_monthly_cents, self.interest_monthly_cents,

@@ -215,6 +215,10 @@ MALFORMED_CONFIGS = [
     # Seeds that rng.child_seed cannot encode.
     ("monte_carlo", {"master_seed": 2**127}, "monte_carlo"),
     ("monte_carlo", {"master_seed": -(2**127) - 1}, "monte_carlo"),
+    # More BTC than the 21 M supply (a float the int schema accepts).
+    ("treasury.btc_core_sats", 1e308, "treasury"),
+    # A mean ticket, median * exp(sigma^2 / 2), past the float range.
+    ("rail.ticket_sigma", 1e11, "rail"),
 ]
 
 

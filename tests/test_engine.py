@@ -8,6 +8,7 @@ import json
 import math
 import random
 import re
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from satsrail.engine import (
     MonthResult,
     PathResult,
     ScenarioConfig,
+    StressTriggerConfig,
     config_from_dict,
     kpi_month,
     load_config_file,
@@ -43,7 +45,7 @@ from satsrail.engine import (
     write_report_json,
 )
 from satsrail.lightning import FeePolicy, RoutingError, build_graph, rebalance
-from satsrail.market import GbmParams
+from satsrail.market import GbmParams, PricePath
 from satsrail.money import SATS_PER_BTC, floor_bps
 from satsrail.rail import Merchant, month_rail_cashflow
 from satsrail.treasury import TreasuryConfig, VarCheck
@@ -364,6 +366,29 @@ class TestStressTrigger:
         assert month9.freed_msat == 1_000_000 + 2_000_000
         assert month9.sleeve_deployed_msat == 3_000_000 + 4_000_000
 
+    def test_the_stage_fires_holds_rearms_and_fires_again(self):
+        graph = self._config()._graph.copy()
+        trigger = StressTriggerConfig(drawdown_threshold=0.3, shrink_target=0.75)
+        prices = PricePath((100, 60, 50, 100, 120, 80, 60))
+        months = list(engine._market(prices, graph, trigger))
+        assert [(m, p) for m, p, _, _ in months] == list(enumerate(prices.prices))[1:]
+        assert [d for _, _, d, _ in months] == pytest.approx(
+            [0.4, 0.5, 0.0, 0.0, 1 / 3, 0.5]
+        )
+        # Fire at 0.4; hold at 0.5; re-arm on recovery; a new peak; fire
+        # again at 1/3; hold. Each shrink closes the smallest-balance hub
+        # channel left (16M -> 12M deployed, then 12M -> 8M).
+        assert [f for _, _, _, f in months] == [
+            1_000_000, None, None, None, 2_000_000, None
+        ]
+        assert sorted(ch.id for ch in graph.hub_channels()) == ["hc", "hd"]
+
+    def test_the_threshold_itself_fires(self):
+        graph = self._config()._graph.copy()
+        trigger = StressTriggerConfig(drawdown_threshold=0.5, shrink_target=0.75)
+        months = engine._market(PricePath((100, 50, 100, 50)), graph, trigger)
+        assert [f for _, _, _, f in months] == [1_000_000, None, 2_000_000]
+
     def test_disabled_by_default(self):
         raw = empty_raw_config(
             market={"model": "stress", "kind": "linear", "total_drawdown": 0.70}
@@ -662,6 +687,28 @@ def _bench_workload(name: str) -> dict:
     return getattr(_bench_module("workloads"), name)(3, "tiny")
 
 
+# Sites whose module imports the function only so that the tracer can wrap
+# it there: none of the module's own code calls it.
+TRACER_ONLY_IMPORTS = {
+    "engine.monthly_yield_cents",
+    "engine.no_forced_sale",
+    "lightning.canonical_json",
+}
+
+
+def _looked_up_names(module) -> set[str]:
+    """Every name that the code inside the module's functions and classes
+    looks up (the module body's own imports left out)."""
+    code = compile(Path(module.__file__).read_text(encoding="utf-8"), "", "exec")
+    todo = [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    names: set[str] = set()
+    while todo:
+        code = todo.pop()
+        names.update(code.co_names)
+        todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    return names
+
+
 def test_every_bench_tracer_site_resolves():
     # The tracer wraps these attributes by name; a missing one breaks
     # `bench/run.py --trace 1` before any workload runs.
@@ -670,7 +717,13 @@ def test_every_bench_tracer_site_resolves():
     for site in sites:
         module_name, attr = site.split(".")
         module = importlib.import_module(f"satsrail.{module_name}")
-        assert callable(getattr(module, attr, None)), site
+        function = getattr(module, attr, None)
+        assert callable(function), site
+        # A wrapper on an imported name sees only the calls that look the
+        # name up in that module when they run: a call through a local
+        # alias or a default argument bypasses it.
+        if function.__module__ != module.__name__ and site not in TRACER_ONLY_IMPORTS:
+            assert attr in _looked_up_names(module), site
 
 
 class TestConfigSchema:

@@ -129,6 +129,48 @@ class TestGenPayments:
         with pytest.raises(ValueError):
             gen_monthly_payments([merchant()], 1, PRICE, 7, TicketParams(), [])
 
+    @given(
+        gmvs=st.lists(st.integers(0, 60_000), min_size=1, max_size=8),
+        inactive=st.integers(0, 8),
+        cap=st.integers(0, 300) | st.none(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sampled_is_within_intended_and_is_the_batch(self, gmvs, inactive, cap):
+        # A gmv under half a mean ticket intends no payment.
+        params = TicketParams(median_ticket_cents=1_000, ticket_sigma=0.0)
+        roster = [
+            merchant(f"m{i}", gmv=gmv or 1, active=i >= inactive)
+            for i, gmv in enumerate(gmvs)
+        ]
+        plan = gen_monthly_payments(roster, 1, PRICE, 3, params, ["p"], max_payments=cap)
+        active = {m.id for m in roster if m.active}
+        assert plan.sampled.keys() == plan.intended.keys() == active
+        for mid in active:
+            assert plan.sampled[mid] <= plan.intended[mid]
+            assert (plan.sampled[mid] >= 1) == (plan.intended[mid] > 0)
+            assert plan.sampled[mid] == sum(r.merchant == mid for r in plan.requests)
+        assert len(plan.requests) == sum(plan.sampled.values())
+
+
+class TestTicketParams:
+    @pytest.mark.parametrize(
+        "median, sigma",
+        [
+            pytest.param(5_000, 1e11, id="exp-overflows"),
+            pytest.param(5_000, 1e200, id="sigma-squared-overflows"),
+            pytest.param(1, 37.7, id="just-past-the-range"),
+            pytest.param(10**308, 2.0, id="product-is-inf"),
+            pytest.param(10**309, 0.0, id="median-past-float"),
+        ],
+    )
+    def test_a_mean_ticket_past_the_float_range_is_refused(self, median, sigma):
+        with pytest.raises(ValueError, match="overflows"):
+            TicketParams(median_ticket_cents=median, ticket_sigma=sigma)
+
+    def test_the_largest_finite_mean_ticket_is_accepted(self):
+        # exp(37.6**2 / 2) is about 1.6e307; 37.7 overflows.
+        assert math.isfinite(TicketParams(1, 37.6).mean_ticket_cents)
+
 
 class TestAcquiringFee:
     def test_zero_gmv(self):
