@@ -223,7 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_and_report(config, args) -> int:
     _check_writable(args.out, args.csv)
-    report = run_scenario(config)
+    try:
+        report = run_scenario(config)
+    except OverflowError as exc:  # amounts whose products no float can hold
+        raise ConfigError("", f"its numbers overflow the model's arithmetic: {exc}") from None
     write_report_json(report, args.out)
     if args.csv:
         write_report_csv(report, args.csv)

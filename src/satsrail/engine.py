@@ -28,6 +28,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -339,6 +340,8 @@ def _field_names(cls: type) -> tuple[str, ...]:
 
 # A path's ``kpi_aggregate`` keys: the KPI record's, less the month number.
 _AGGREGATE_KEYS = tuple(name for name in _field_names(KpiMonth) if name != "month")
+# A month record's fields in order, read in one call.
+_RAIL_COLUMNS = operator.attrgetter(*_field_names(RailMonthRecord))
 
 
 def kpi_month(
@@ -612,8 +615,7 @@ def run_path(config: ScenarioConfig, path_index: int) -> PathResult:
 
     # The path's KPIs: one month's formula on the months' column sums (the
     # summed month number is dropped) and the roster's churn over the path.
-    fields = _field_names(RailMonthRecord)
-    columns = zip(*([getattr(m.rail, f) for f in fields] for m in months))
+    columns = zip(*(_RAIL_COLUMNS(m.rail) for m in months))
     active_end = sum(1 for m in merchants if m.active)
     kpi = kpi_month(
         RailMonthRecord(*map(sum, columns)),

@@ -130,8 +130,9 @@ class Channel:
             raise AssertionError(f"channel {self.id}: balance out of range")
 
 
-# How many hop distances a route index keeps cached, summed over its searches.
-_HOP_CACHE_ENTRIES = 1 << 16
+# Hop distances a route index caches over its searches; indexes per registry.
+_HOP_CACHE_ENTRIES = 1 << 18
+_INDEXES = 4
 # A hop distance not labelled yet; labels stop one short of it.
 _UNLABELLED = 255
 _LABELS = bytes(range(_UNLABELLED))
@@ -151,10 +152,9 @@ class _RouteIndex:
     ``min_ppm`` are the smallest base fee and ppm over all open directions.
     Balances are not indexed; the router never reads them.
 
-    The index also caches the breadth-first searches that bound a route
-    search (:meth:`hops_past_first`), and the :class:`Hop` of each traced
-    direction. Both live and die with the index, so a topology change drops
-    them too.
+    It is a pure function of the topology, shared by every graph of that
+    topology, and so are its caches: the hop searches that bound a route
+    search (:meth:`hops_past_first`) and the :class:`Hop` of each direction.
     """
 
     nodes: tuple[str, ...]
@@ -220,11 +220,9 @@ class _RouteIndex:
         when nothing is left to label, or at ``_UNLABELLED``. A node it has
         not labelled lies at the next level or deeper, or cannot be reached,
         and reads that level: clamped so, the bound still moves by at most 1
-        per hop. The
-        search's state, the bound it gives and the targets it has served are
-        kept for the most recently used ``(sender, first)``, at most
-        ``_HOP_CACHE_ENTRIES`` labels in all; a later target that lies deeper
-        resumes the search.
+        per hop. The search's state, bound and served targets are kept for
+        the most recently used ``(sender, first)`` of every path sharing the
+        index, ``_HOP_CACHE_ENTRIES`` labels in all; a deeper target resumes.
         """
         key = sender if first is None else (sender, first)
         cache = self._hops_past_first
@@ -272,20 +270,19 @@ class _RouteIndex:
 class ChannelGraph:
     """Nodes plus channels, with one designated hub (the treasury's node).
 
-    Route search reads a cached :class:`_RouteIndex`, built at the first
-    search after a topology change. ``add_node``, ``add_channel`` and
-    ``close_channel`` are the only methods that change topology, and each
-    drops the cache; change nodes, channels, capacities or policies through
-    them only. Balance moves (``Channel.shift``) need no invalidation.
+    Route search reads a :class:`_RouteIndex` from a registry that copies
+    share, keyed by the ids ``close_channel`` closed; ``add_node`` and
+    ``add_channel`` give the graph a registry of its own. These three are
+    the only methods that change topology: change nodes, channels,
+    capacities or policies through them only.
     """
 
     nodes: set[str]
     hub: str
     channels: dict[str, Channel] = field(default_factory=dict)
     _adjacency: dict[str, list[str]] = field(default_factory=dict, repr=False)
-    _route_index: _RouteIndex | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _closed: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.hub not in self.nodes:
@@ -294,6 +291,9 @@ class ChannelGraph:
             self._adjacency = {n: [] for n in sorted(self.nodes)}
             for ch in self.channels.values():
                 self._register(ch)
+
+    def __reduce__(self):  # a pickle carries no registry, and gets a fresh one
+        return ChannelGraph, (self.nodes, self.hub, self.channels, self._adjacency)
 
     def _register(self, ch: Channel) -> None:
         for node in (ch.node_a, ch.node_b):
@@ -305,35 +305,39 @@ class ChannelGraph:
         if node not in self.nodes:
             self.nodes.add(node)
             self._adjacency[node] = []
-            self._route_index = None
+            self._indexes = {}
 
     def add_channel(self, ch: Channel) -> None:
         if ch.id in self.channels:
             raise ValueError(f"duplicate channel id {ch.id!r}")
         self.channels[ch.id] = ch
         self._register(ch)
-        self._route_index = None
+        self._indexes = {}
 
     def close_channel(self, channel_id: str) -> Channel:
         ch = self.channels[channel_id]
         ch.open = False
-        self._route_index = None
+        self._closed |= {channel_id}
         return ch
 
     def copy(self) -> "ChannelGraph":
-        """The same nodes, channels and balances, sharing no mutable state."""
-        return ChannelGraph(
+        """The same nodes, channels and balances, sharing only route indexes."""
+        graph = ChannelGraph(
             nodes=set(self.nodes),
             hub=self.hub,
             channels={cid: Channel(**vars(ch)) for cid, ch in self.channels.items()},
             _adjacency={node: list(ids) for node, ids in self._adjacency.items()},
         )
+        graph._indexes, graph._closed = self._indexes, self._closed
+        return graph
 
     def route_index(self) -> _RouteIndex:
-        """The route-search view of the current topology."""
-        if self._route_index is None:
-            self._route_index = _RouteIndex.of(self)
-        return self._route_index
+        """The route-search view of the current topology, kept as most recent."""
+        indexes, key = self._indexes, self._closed
+        index = indexes[key] = indexes.pop(key, None) or _RouteIndex.of(self)
+        if len(indexes) > _INDEXES:
+            del indexes[next(iter(indexes))]
+        return index
 
     def adjacent(self, node: str) -> Iterator[Channel]:
         """Open channels with ``node`` as an endpoint, insertion order."""
@@ -639,10 +643,7 @@ def find_route(
     hop costs at least 1 msat this is the lexicographically smallest route
     (node path, then channel ids); zero-fee hops can settle a node before a
     lexicographically smaller continuation of equal cost is found. The
-    search itself is goal-directed (see :func:`_backward_search`): it adds
-    to R a lower bound on the fees still to come, from cached hop distances
-    to the sender, so it settles far fewer nodes, but each node it settles
-    keeps the Dijkstra's entry, and the route is the same.
+    search is goal-directed (:func:`_backward_search`); the route is the same.
     """
     if src == dst:
         raise ValueError("src and dst must differ")
@@ -713,9 +714,8 @@ def send_payment(
 ) -> PaymentResult:
     """Find-and-execute with up to ``max_retries`` re-routes.
 
-    After an execution failure the failed channel direction is excluded and
-    the search re-runs, mimicking multi-attempt behavior against private
-    balances.
+    After an execution failure the failed direction is excluded and the
+    search re-runs, as a sender would against private balances.
     """
     excluded: set[tuple[str, str]] = set()
     result = None

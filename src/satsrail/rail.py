@@ -112,7 +112,9 @@ def gen_monthly_payments(
     apportioned down (largest remainder, floor of one per merchant with any
     intended volume, so the cap is soft). Amounts and payers come from a
     stream keyed on (seed, month, merchant id) only, so one merchant's
-    payments do not depend on the rest of the roster.
+    payments do not depend on the rest of the roster. A ticket worth under
+    half a msat at the month's price converts to 0 msat, which no channel
+    can carry: it is not sampled, and ``sampled`` counts it out.
     """
     if price_cents_per_btc <= 0:
         raise ValueError("price must be positive")
@@ -148,12 +150,12 @@ def gen_monthly_payments(
                 params.max_ticket_cents,
                 max(params.min_ticket_cents, math.floor(draw + 0.5)),
             )
+            amount = cents_to_msat(cents, price_cents_per_btc)
+            if not amount:
+                sampled[m.id] -= 1
+                continue
             requests.append(
-                PaymentRequest(
-                    payer=payer_nodes[payer],
-                    merchant=m.id,
-                    amount_msat=cents_to_msat(cents, price_cents_per_btc),
-                )
+                PaymentRequest(payer=payer_nodes[payer], merchant=m.id, amount_msat=amount)
             )
     return PaymentPlan(requests=tuple(requests), intended=intended, sampled=sampled)
 

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 import typing
 from dataclasses import dataclass
 from fractions import Fraction
@@ -388,7 +389,7 @@ def json_as(kind: type, value, key: str):
     Anything else is a ``ConfigError`` naming ``key``.
     """
     if kind is float and type(value) is int:
-        value = float(value)
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
     elif kind is int and type(value) is float and value.is_integer():
         value = int(value)
     if type(value) is not kind or (kind is float and not math.isfinite(value)):

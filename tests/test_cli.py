@@ -1,14 +1,19 @@
 """Command-line behavior: outputs, determinism, exit-code contract."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     BAD_SLEEVES,
@@ -484,6 +489,82 @@ class TestBadNumbers:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}:" in captured.err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = sorted(case.name for case in GOLDEN.iterdir() if case.is_dir())
+# Keys that size the run. Nothing bounds them, and a large value runs until
+# it is killed, so the fuzz holds them small.
+WORK_KEYS = {
+    "monte_carlo.num_paths",
+    "market.horizon_months",
+    "treasury.horizon_months",
+    "payment_cap_per_month",
+}
+SMALL = st.sampled_from([-1, 0, 1, 2, 3, 2.5])
+EXTREMES = st.one_of(
+    st.sampled_from([0, -1, 1, 0.5, 1e-300, 1e11, 2**63, 10**30, -(10**30), 10**400]),
+    st.integers(),
+    st.floats(),
+)
+
+
+def numeric_leaves(node, prefix: str = "") -> list[str]:
+    """The dotted keys of every number (not boolean) in a raw config."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [prefix[1:]] if type(node) in (int, float) else []
+    return [leaf for key, value in items for leaf in numeric_leaves(value, f"{prefix}.{key}")]
+
+
+class TestEveryConfigRunsOrIsRefused:
+    """A golden config with its numbers set to extremes runs (exit 0), or is
+    refused (exit 2) or fails on a file (exit 1), with no traceback."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_numeric_leaves_exit_0_1_or_2(self, data):
+        case = data.draw(st.sampled_from(GOLDEN_CASES), label="case")
+        raw = json.loads((GOLDEN / case / "config.json").read_text(encoding="utf-8"))
+        raw["monte_carlo"]["num_paths"] = 1
+        raw["treasury"]["horizon_months"] = min(raw["treasury"]["horizon_months"], 3)
+        keys = st.lists(st.sampled_from(numeric_leaves(raw)), min_size=1, max_size=3, unique=True)
+        for key in data.draw(keys, label="keys"):
+            set_key(raw, key, data.draw(SMALL if key in WORK_KEYS else EXTREMES, label=key))
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(raw), encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["simulate", "--config", str(config), "--out", f"{tmp}/r.json"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+    def test_a_price_no_ticket_can_carry_runs(self, tmp_path):
+        # At 10**30 cents a BTC every ticket is under half a msat: none is
+        # sampled, nothing settles, and the run completes.
+        raw = json.loads((GOLDEN / "stress_headline" / "config.json").read_text(encoding="utf-8"))
+        raw["start_price_cents"] = 10**30
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 0
+        report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+        months = report["paths"][0]["months"]
+        assert {(m["sampled_tx"], m["rail"]["tx_settled"]) for m in months} == {(0, 0)}
+        assert months[0]["rail"]["tx_count"] > 0  # intended, none sampled
+
+    def test_a_price_path_beyond_any_float_exits_2(self, tmp_path, capsys):
+        raw = json.loads((GOLDEN / "many_paths_tiny" / "config.json").read_text(encoding="utf-8"))
+        raw["market"]["mu"] = 1e30
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: its numbers overflow") and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestNotANumber:

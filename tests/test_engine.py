@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import math
+import pickle
 import random
 import re
 import types
@@ -27,7 +28,7 @@ from conftest import (
     stdlib_canonical_json,
     stress_scenario_raw,
 )
-from satsrail import engine, treasury
+from satsrail import engine, lightning, treasury
 from satsrail.engine import (
     ConfigError,
     KpiMonth,
@@ -229,6 +230,60 @@ class TestStartingGraph:
         pooled = run_scenario(config, workers=2)
         assert pooled.paths_json == serial.paths_json
         assert pooled.reconciliation_hash == serial.reconciliation_hash
+
+    def test_a_warm_config_pickles_as_a_cold_one(self):
+        # The pool's initializer sends the config; its graph's registry of
+        # route indexes, filled by a serial run, stays out of the pickle.
+        config = config_from_dict(shrinking_raw_config())
+        cold = len(pickle.dumps(config))
+        serial = run_scenario(config)
+        assert config._graph._indexes
+        assert len(pickle.dumps(config)) == cold
+        pooled = run_scenario(config, workers=2)
+        assert pooled.paths_json == serial.paths_json
+        assert pooled.reconciliation_hash == serial.reconciliation_hash
+
+    def test_a_second_pass_reuses_the_first_ones_searches(self, monkeypatch):
+        config = config_from_dict(rich_raw_config())  # one topology, no shrink
+        first = run_scenario(config)
+        indexes = config._graph._indexes
+
+        def searches() -> dict:
+            return {key: set(index._hops_past_first) for key, index in indexes.items()}
+
+        before = searches()
+        assert any(before.values())
+
+        def build(cls, graph):
+            raise AssertionError("a route index was built again")
+
+        monkeypatch.setattr(lightning._RouteIndex, "of", classmethod(build))
+        assert run_scenario(config).paths_json == first.paths_json
+        assert searches() == before
+
+    def test_sixteen_paths_stay_within_the_bounds(self, monkeypatch):
+        # Each GBM path's trigger fires in its own months, so the paths
+        # reach more topologies than the registry keeps.
+        raw = shrinking_raw_config()
+        raw["monte_carlo"]["num_paths"] = 16
+        config = config_from_dict(raw)
+        topologies = set()
+        of = lightning._RouteIndex.of.__func__
+        monkeypatch.setattr(
+            lightning._RouteIndex,
+            "of",
+            classmethod(lambda cls, g: topologies.add(g._closed) or of(cls, g)),
+        )
+        report = run_scenario(config)
+        fired = {tuple(m.month for m in p.months if m.shrink_fired) for p in report.paths}
+        assert len(fired) > 3 and len(topologies) > lightning._INDEXES
+        assert len(config._graph._indexes) == lightning._INDEXES
+        for index in config._graph._indexes.values():
+            labels = sum(len(state[0]) for state in index._hops_past_first.values())
+            assert labels <= lightning._HOP_CACHE_ENTRIES
+        monkeypatch.undo()
+        alone = [run_path(config_from_dict(raw), i) for i in range(16)]
+        assert list(report.paths) == alone
 
     def test_copy_shares_no_channel(self):
         config = config_from_dict(shrinking_raw_config())

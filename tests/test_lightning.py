@@ -4,6 +4,7 @@ The routing oracle is exhaustive simple-path enumeration (conftest); the
 conservation and atomicity properties run against randomized op sequences.
 """
 
+import pickle
 import random
 
 import pytest
@@ -507,6 +508,138 @@ class TestRouteIndexInvalidation:
         assert check() == ("0A", "0E", "EF")
 
 
+class TestSharedRouteIndex:
+    """A graph and its copies share one bounded registry of route indexes,
+    keyed by the channels ``close_channel`` closed."""
+
+    @staticmethod
+    def hub_to_y(g) -> list[str]:
+        return [h.channel_id for h in find_route(g, "hub", "Y", 1_000).hops]
+
+    def test_copies_with_the_same_closures_share_an_index(self, triangle_graph):
+        a, b, c = (triangle_graph.copy() for _ in range(3))
+        assert a.route_index() is b.route_index() is c.route_index()
+        a.close_channel("yh")
+        assert a.route_index() is not b.route_index()
+        b.close_channel("yh")
+        c.close_channel("xy")
+        assert a.route_index() is b.route_index()
+        assert c.route_index() not in (a.route_index(), triangle_graph.route_index())
+        assert self.hub_to_y(a) == self.hub_to_y(b) == ["hx", "xy"]
+        assert self.hub_to_y(c) == self.hub_to_y(triangle_graph) == ["yh"]
+        # Each closure set reaches the same index, in whichever order.
+        d, e = triangle_graph.copy(), triangle_graph.copy()
+        d.close_channel("xy")
+        d.close_channel("yh")
+        e.close_channel("yh")
+        e.close_channel("xy")
+        assert d.route_index() is e.route_index()
+
+    @pytest.mark.parametrize("grow", ["add_node", "add_channel"])
+    def test_growing_a_copy_detaches_it(self, triangle_graph, grow):
+        a, b = triangle_graph.copy(), triangle_graph.copy()
+        shared = a.route_index()
+        if grow == "add_node":
+            a.add_node("Z")
+        else:
+            a.add_channel(Channel("hy", "hub", "Y", 10**9, 10**9, FeePolicy(), FeePolicy()))
+        assert a._indexes is not b._indexes
+        assert a.route_index() is not shared
+        assert b.route_index() is shared
+        assert triangle_graph.route_index() is shared
+        assert self.hub_to_y(a) == (["hy"] if grow == "add_channel" else ["yh"])
+        assert self.hub_to_y(b) == ["yh"]
+
+    def test_changes_to_the_original_do_not_reach_a_copy(self, triangle_graph):
+        copy = triangle_graph.copy()
+        shared = copy.route_index()
+        triangle_graph.close_channel("yh")
+        assert copy.route_index() is shared
+        assert self.hub_to_y(copy) == ["yh"]
+        triangle_graph.add_channel(
+            Channel("hy", "hub", "Y", 10**9, 10**9, FeePolicy(), FeePolicy())
+        )
+        assert self.hub_to_y(triangle_graph) == ["hy"]
+        assert copy.route_index() is shared
+        assert self.hub_to_y(copy) == ["yh"]
+        assert "hy" not in copy.channels and copy.channels["yh"].open
+
+    def test_the_registry_keeps_the_latest_indexes(self):
+        g = build_graph(chain_spec())
+        for ch in range(lightning._INDEXES + 3):
+            g.add_channel(Channel(f"x{ch}", "A", "C", 10**6, 10**6, FeePolicy(), FeePolicy()))
+        copies = []
+        for cid in sorted(g.channels):
+            copy = g.copy()
+            copy.close_channel(cid)
+            copies.append((copy, copy.route_index()))
+        assert len(g._indexes) == lightning._INDEXES
+        latest = copies[-lightning._INDEXES :]
+        assert list(g._indexes.values()) == [index for _, index in latest]
+        # A hit moves an index to the back; an evicted topology is rebuilt.
+        first, first_index = copies[0]
+        kept, kept_index = latest[0]
+        assert kept.route_index() is kept_index
+        assert first.route_index() is not first_index
+        assert list(g._indexes.values())[-2:] == [kept_index, first.route_index()]
+        assert len(g._indexes) == lightning._INDEXES
+
+    def test_a_pickle_carries_no_registry(self, triangle_graph):
+        find_route(triangle_graph, "hub", "Y", 1_000)
+        cold = triangle_graph.copy()
+        cold._indexes = {}
+        thawed = pickle.loads(pickle.dumps(triangle_graph))
+        assert pickle.dumps(triangle_graph) == pickle.dumps(cold)
+        assert thawed._indexes == {} and thawed == triangle_graph
+        assert self.hub_to_y(thawed) == ["yh"]
+
+    def test_warm_shared_indexes_match_the_reference(self):
+        # Several copies of one graph close channels in their own order and
+        # pay through the indexes they share; each has a twin that the
+        # reference routes and pays on.
+        rng = random.Random(20)
+        seen = {"paid": 0, "routes": 0, "errors": 0, "shared": 0}
+        for trial in range(150):
+            spec = random_graph_spec(
+                rng, max_nodes=rng.choice((6, 10, 14)), density=rng.choice((0.3, 0.55))
+            )
+            g = build_graph(spec)
+            if len(g.channels) < 3:
+                continue
+            nodes = sorted(g.nodes)
+            pairs = [(g.copy(), g.copy()) for _ in range(3)]
+            for _ in range(16):
+                graph, twin = rng.choice(pairs)
+                open_ids = sorted(cid for cid, ch in graph.channels.items() if ch.open)
+                action = rng.random()
+                if action < 0.2 and len(open_ids) > 1:
+                    cid = rng.choice(open_ids[:3])  # copies often close the same ones
+                    graph.close_channel(cid)
+                    twin.close_channel(cid)
+                    continue
+                src, dst = rng.sample(nodes, 2)
+                amount = rng.randrange(1, 1_500_000)
+                if action < 0.6:
+                    retries = rng.randrange(3)
+                    got = send_payment(graph, src, dst, amount, max_retries=retries)
+                    want = reference_send_payment(twin, src, dst, amount, max_retries=retries)
+                    assert got == want, (trial, src, dst, amount)
+                    assert graph_state(graph) == graph_state(twin)
+                    seen["paid"] += 1
+                    continue
+                cap = rng.choice((None, rng.randrange(0, 8_000)))
+                excluded = TestRoutingOracle._random_exclusions(rng, graph)
+                got = _routing_outcome(lambda: find_route(graph, src, dst, amount, cap, excluded))
+                want = _routing_outcome(
+                    lambda: reference_find_route(twin, src, dst, amount, cap, excluded)
+                )
+                assert got == want, (trial, src, dst, amount, cap, excluded)
+                seen["routes" if isinstance(got, Route) else "errors"] += 1
+            indexes = [graph.route_index() for graph, _ in pairs]
+            seen["shared"] += len(indexes) - len({id(i) for i in indexes})
+        assert min(seen.values()) > 30, seen
+
+
 class TestHopBound:
     """The bounded, resumable hop distances keep every route exact."""
 
@@ -537,7 +670,7 @@ class TestHopBound:
         g = TestSearchWork.grid(9, 1000, 100)
         src, far_dst = "g0000", "g0808"
         find_route(g, src, "g0102", 10**6)
-        shallow = self.state(g, src)
+        shallow, index = self.state(g, src), g.route_index()
         assert shallow[1] and shallow[2] < 8  # labels left to resume
         if change == "add_channel":
             fee = FeePolicy(1000, 100)
@@ -547,7 +680,7 @@ class TestHopBound:
             g.close_channel(
                 next(ch.id for ch in g.adjacent("g0001") if {ch.node_a, ch.node_b} == ends)
             )
-        assert g._route_index is None
+        assert g.route_index() is not index
         route = find_route(g, src, far_dst, 10**6)
         assert route == reference_find_route(g, src, far_dst, 10**6)
         assert self.state(g, src) is not shallow

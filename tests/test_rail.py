@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satsrail.money import msat_to_cents
+from satsrail.money import cents_to_msat, msat_to_cents
 from satsrail.rail import (
     Merchant,
     TicketParams,
@@ -110,6 +110,23 @@ class TestGenPayments:
         hi = (6_000 * 100_000_000_000 + PRICE // 2) // PRICE
         assert plan.requests
         assert all(lo <= r.amount_msat <= hi for r in plan.requests)
+
+    def test_a_ticket_under_half_a_msat_is_not_sampled(self):
+        # The draws do not depend on the price. At PRICE a cent is 10,000
+        # msat; at 3e11 a cent is a third of a msat (0) and 2 cents round to 1.
+        params = TicketParams(median_ticket_cents=2, ticket_sigma=1.0)
+        full = gen_monthly_payments([merchant(gmv=100)], 1, PRICE, 9, params, ["p1", "p2"])
+        price = 3 * 10**11
+        plan = gen_monthly_payments([merchant(gmv=100)], 1, price, 9, params, ["p1", "p2"])
+        kept = [r for r in full.requests if r.amount_msat > 10_000]
+        assert 0 < len(kept) < len(full.requests)
+        assert [(r.payer, r.amount_msat) for r in plan.requests] == [
+            (r.payer, cents_to_msat(r.amount_msat // 10_000, price)) for r in kept
+        ]
+        assert plan.intended == full.intended
+        assert plan.sampled == {"m1": len(kept)}
+        nothing = gen_monthly_payments([merchant(gmv=100)], 1, 10**30, 9, params, ["p1"])
+        assert nothing.requests == () and nothing.sampled == {"m1": 0}
 
     def test_cap_apportions_and_scales(self):
         params = TicketParams(median_ticket_cents=1_000, ticket_sigma=0.0)

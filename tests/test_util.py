@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,13 @@ from hypothesis import strategies as st
 
 from conftest import stdlib_canonical_json
 from satsrail import util
-from satsrail.util import apportion_largest_remainder, canonical_json, decimal_fraction
+from satsrail.util import (
+    ConfigError,
+    apportion_largest_remainder,
+    canonical_json,
+    decimal_fraction,
+    json_as,
+)
 
 TRICKY_CHARS = st.sampled_from(
     ['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "/", " ", "{", "}", "[", "]"]
@@ -336,3 +343,19 @@ def test_decimal_fraction_is_exact_on_every_call():
     for _ in range(2):
         assert decimal_fraction(0.03) == Fraction(3, 100)
         assert decimal_fraction(7) == Fraction(7)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [10**400, -(10**400), int(sys.float_info.max) + 2**970],
+    ids=["1e400", "-1e400", "max-float-plus-half-an-ulp"],
+)
+def test_an_integer_past_the_float_range_is_no_number(value):
+    with pytest.raises(ConfigError, match="must be a number") as exc:
+        json_as(float, value, "market.sigma")
+    assert exc.value.key == "market.sigma"
+
+
+def test_the_largest_float_integer_is_a_number():
+    assert json_as(float, int(sys.float_info.max), "k") == sys.float_info.max
+    assert json_as(float, -(10**300), "k") == -1e300
