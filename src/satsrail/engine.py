@@ -79,6 +79,7 @@ from .util import (
     _read_json,
     _Section,
     canonical_json,
+    check_bounds,
     fill_layout,
     json_as,
     json_layout,
@@ -152,8 +153,7 @@ class RailEconomicsConfig:
     max_route_retries: int = 3
 
     def __post_init__(self):
-        if self.spread_bps < 0 or self.variable_cost_bps < 0:
-            raise ValueError("bps fields must be non-negative")
+        check_bounds(self, 10_000, "spread_bps", "variable_cost_bps")
         if not 0.0 <= self.base_churn <= 1.0:
             raise ValueError("base_churn must be in [0, 1]")
         if self.churn_sensitivity < 0.0:

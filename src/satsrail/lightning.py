@@ -9,8 +9,9 @@ Fee semantics (single source of truth for all fee math): forwarding through
 a channel direction costs ``base_fee_msat + floor(forward_amount *
 proportional_millionths / 1_000_000)``, charged by the node that forwards
 into that direction. The sender's own first hop is free. The router sees
-channel capacities, never private balances, so a found route can still fail
-on execution; callers may retry with the failed direction excluded.
+channel capacities, never balances; a sender also knows its own, but not
+the private remote ones, so a found route can still fail on execution and
+``send_payment`` retries with the failed direction excluded.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
+from .money import MSAT_SUPPLY
 from .util import (
+    ConfigError,
     _Ctx,
     _Key,
     _List,
@@ -96,10 +99,10 @@ class Channel:
     def __post_init__(self):
         if self.node_a == self.node_b:
             raise ValueError(f"channel {self.id}: endpoints must differ")
-        if self.capacity_msat <= 0:
-            raise ValueError(f"channel {self.id}: capacity must be positive")
+        if not 0 < self.capacity_msat <= MSAT_SUPPLY:
+            raise ConfigError("capacity_msat", f"must be in [1, 2.1e18] (channel {self.id})")
         if not 0 <= self.balance_a_msat <= self.capacity_msat:
-            raise ValueError(f"channel {self.id}: balance exceeds capacity")
+            raise ConfigError("balance_a_msat", f"must be in [0, capacity] (channel {self.id})")
 
     @property
     def balance_b_msat(self) -> int:
@@ -714,10 +717,13 @@ def send_payment(
 ) -> PaymentResult:
     """Find-and-execute with up to ``max_retries`` re-routes.
 
-    After an execution failure the failed direction is excluded and the
-    search re-runs, as a sender would against private balances.
+    The sender knows its own balances: its channels holding less than
+    ``amount_msat`` are excluded from the first search, and a payer with no
+    channel holding it gets ``no_route``. After an execution failure the
+    failed direction is excluded and the search re-runs, as a sender would
+    against private remote balances.
     """
-    excluded: set[tuple[str, str]] = set()
+    excluded = {(ch.id, src) for ch in graph.adjacent(src) if ch.balance_from(src) < amount_msat}
     result = None
     for _ in range(max_retries + 1):
         try:

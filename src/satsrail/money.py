@@ -19,6 +19,7 @@ import math
 MSAT_PER_BTC = 100_000_000_000
 SATS_PER_BTC = 100_000_000
 MSAT_PER_SAT = 1_000
+MSAT_SUPPLY = 21_000_000 * MSAT_PER_BTC  # the BTC supply: no position or channel holds more
 
 
 def round_half_up(x: float) -> int:

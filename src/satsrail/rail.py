@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .money import cents_to_msat, floor_bps, MSAT_PER_BTC
 from .rng import child_seed, stream, uniform
-from .util import apportion_largest_remainder
+from .util import apportion_largest_remainder, check_bounds
 
 CARD_COST_BPS_RANGE = (200, 300)
 
@@ -36,8 +36,7 @@ class Merchant:
     def __post_init__(self):
         if self.settle_mode not in SETTLE_MODES:
             raise ValueError(f"settle_mode must be one of {SETTLE_MODES}")
-        if self.take_rate_bps < 0 or self.sats_back_bps < 0:
-            raise ValueError("bps fields must be non-negative")
+        check_bounds(self, 10_000, "take_rate_bps", "sats_back_bps")
         if self.active and self.monthly_gmv_cents <= 0:
             raise ValueError("active merchants need positive GMV")
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
-from .money import SATS_PER_BTC
+from .money import MSAT_PER_SAT, MSAT_SUPPLY, SATS_PER_BTC
 from .util import decimal_fraction
 
 SURVIVAL_MODES = ("terminal", "pathwise")
@@ -54,7 +54,7 @@ class TreasuryConfig:
     survival_mode: str = "pathwise"
 
     def __post_init__(self):
-        if not 0 <= self.btc_core_sats <= 21_000_000 * SATS_PER_BTC:
+        if not 0 <= self.btc_core_sats <= MSAT_SUPPLY // MSAT_PER_SAT:
             raise ValueError("btc_core_sats must be in [0, 2.1e15], the BTC supply")
         if self.cash0_cents < 0:
             raise ValueError("cash0_cents must be non-negative")

@@ -379,6 +379,13 @@ class ConfigError(ValueError):
         super().__init__(f"{key}: {message}" if key else message)
 
 
+def check_bounds(record, high: int, *names: str) -> None:
+    """Refuse a field of ``record`` outside [0, ``high``], naming its key."""
+    for name in names:
+        if not 0 <= getattr(record, name) <= high:
+            raise ConfigError(name, f"must be in [0, {high}]")
+
+
 _JSON_TYPES = {int: "an integer", float: "a number", str: "a string"}
 _JSON_TYPES.update({bool: "true or false", dict: "an object", list: "a list"})
 
@@ -484,7 +491,8 @@ class _Section:
     ``default_factory``; a class's section must be made before it is used.
     A field whose name starts with ``_`` is no key and keeps its default.
     ``make`` builds the record from its fields, ``cls`` by default; what it
-    rejects with ``ValueError`` is a ``ConfigError`` naming the section.
+    rejects with ``ValueError`` is a ``ConfigError`` naming the section, and
+    a ``ConfigError`` it raises names its key below the section.
     """
 
     def __init__(self, cls: type, *overrides: _Key, make: Callable | None = None):
@@ -523,8 +531,8 @@ class _Section:
             fields[name] = value if type(value) is exact else read(raw, key, ctx)
         try:
             return self.make(**fields)
-        except ConfigError:
-            raise
+        except ConfigError as exc:
+            raise ConfigError(_join(key, exc.key), exc.message) from None
         except ValueError as exc:
             raise ConfigError(key, str(exc)) from None
 

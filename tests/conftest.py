@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from satsrail import lightning
 from satsrail.engine import COVERAGE_ZERO_OPEX, ScenarioReport
 from satsrail.lightning import (
     ChannelGraph,
@@ -557,13 +558,39 @@ def reference_execute_payment(graph: ChannelGraph, route: Route, amount_msat: in
     return PaymentResult(PaymentStatus.SETTLED, route=route)
 
 
+def count_attempts(monkeypatch) -> dict:
+    """Count the calls of ``find_route`` and ``execute_payment``, the two
+    module globals the bench tracer wraps to time route search and execution."""
+    calls = {"find_route": 0, "execute_payment": 0}
+    for name in calls:
+
+        def counted(*args, _call=getattr(lightning, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(lightning, name, counted)
+    return calls
+
+
 def reference_send_payment(
-    graph: ChannelGraph, src: str, dst: str, amount_msat: int, max_fee_msat=None, max_retries=0
+    graph: ChannelGraph,
+    src: str,
+    dst: str,
+    amount_msat: int,
+    max_fee_msat=None,
+    max_retries=0,
+    blind=False,
 ) -> PaymentResult:
     """``send_payment``'s retry loop over :func:`reference_find_route` and
-    :func:`reference_execute_payment`: a direction that fails on balance is
-    excluded from the next search."""
-    excluded: set = set()
+    :func:`reference_execute_payment`. The first search skips every open
+    channel of the sender that holds less than the amount on its side,
+    unless ``blind`` (the loop of a sender that ignores its own balances);
+    a direction that fails on balance is excluded from the next search."""
+    excluded = set() if blind else {
+        (ch.id, src)
+        for ch in graph.channels.values()
+        if ch.open and src in (ch.node_a, ch.node_b) and ch.balance_from(src) < amount_msat
+    }
     result = None
     for _ in range(max_retries + 1):
         try:

@@ -567,6 +567,43 @@ class TestEveryConfigRunsOrIsRefused:
         assert not (tmp_path / "r.json").exists()
 
 
+# Each domain bound: (dotted key, value past it, largest value within it).
+# The bps shares are at most the whole; a channel holds at most the 21 M BTC
+# supply, 2.1e18 msat, and its balance at most its capacity.
+DOMAIN_BOUNDS = [
+    ("merchants.0.take_rate_bps", 20_000, 10_000),
+    ("merchants.0.take_rate_bps", -1, 0),
+    ("merchants.0.sats_back_bps", 10_001, 10_000),
+    ("rail.spread_bps", 10_001, 10_000),
+    ("rail.variable_cost_bps", 10_001, 10_000),
+    ("graph.channels.0.capacity_msat", 10**30, 21_000_000 * 10**11),
+    ("graph.channels.0.balance_a_msat", 10**30, 0),
+]
+
+
+class TestDomainBounds:
+    """A value past a domain bound is refused with exit 2, naming its key;
+    the bound itself runs."""
+
+    @staticmethod
+    def _simulate(tmp_path, dotted: str, value) -> int:
+        raw = json.loads((GOLDEN / "rail_hub_tiny" / "config.json").read_text(encoding="utf-8"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(set_key(raw, dotted, value)), encoding="utf-8")
+        return main(["simulate", "--config", str(config), "--out", str(tmp_path / "r.json")])
+
+    @pytest.mark.parametrize("dotted, past, _", DOMAIN_BOUNDS)
+    def test_past_the_bound_exits_2_naming_the_key(self, dotted, past, _, tmp_path, capsys):
+        assert self._simulate(tmp_path, dotted, past) == 2
+        key = re.sub(r"\.(\d+)", r"[\1]", dotted)
+        assert capsys.readouterr().err.startswith(f"error: invalid config: {key}: must be in [")
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("dotted, _, within", DOMAIN_BOUNDS)
+    def test_the_bound_runs(self, dotted, _, within, tmp_path):
+        assert self._simulate(tmp_path, dotted, within) == 0
+
+
 class TestNotANumber:
     """A flag that is not a number reads as such, naming no private function."""
 

@@ -22,6 +22,7 @@ from conftest import (
     MALFORMED_CONFIGS,
     _sanitize,
     bad_sleeve_raw,
+    count_attempts,
     graph_state,
     legacy_report_text,
     set_key,
@@ -298,6 +299,30 @@ class TestStartingGraph:
         assert start.channels["p1h"].balance_a_msat == 100_000_000_000
         assert start.channels["hsA"].open
         assert "newcomer" not in start.nodes
+
+
+class TestPaymentAttempts:
+    def test_rail_hub_tiny_tries_each_payment_once(self, monkeypatch):
+        # Each rail_hub payer's first route would leave through its sleeve
+        # channel, empty on its side, whose id sorts first among equal fees.
+        # A sender that knows its own balances never tries it, so each
+        # sampled payment is one search and one execution, settled.
+        calls = count_attempts(monkeypatch)
+        failed = []
+
+        def execute(*args, _call=lightning.execute_payment):
+            result = _call(*args)
+            if result.status is not lightning.PaymentStatus.SETTLED:
+                failed.append(result)
+            return result
+
+        monkeypatch.setattr(lightning, "execute_payment", execute)
+        config = load_config_file(Path(__file__).parent / "golden/rail_hub_tiny/config.json")
+        report = run_scenario(config)
+        sampled = sum(m.sampled_tx for p in report.paths for m in p.months)
+        assert sampled > 0
+        assert calls == {"find_route": sampled, "execute_payment": sampled}
+        assert failed == []
 
 
 class TestReconciliation:

@@ -15,6 +15,7 @@ from conftest import (
     brute_force_rebalance,
     brute_force_route,
     chain_spec,
+    count_attempts,
     graph_state,
     random_graph_spec,
     reference_execute_payment,
@@ -1021,6 +1022,25 @@ class TestExecutePayment:
             execute_payment(chain_graph, route, 999_999)
 
 
+def drained_triangle_spec() -> dict:
+    """The triangle with X's side of ``xy`` empty: from the hub, Y's direct
+    channel ``yh`` is empty on the hub's side and the detour through X fails
+    at its second hop, ``xy``."""
+    spec = triangle_spec()
+    spec["channels"][1]["balance_a_msat"] = 0
+    return spec
+
+
+def square_spec() -> dict:
+    """The drained triangle plus a detour hub -> Z -> Y that settles, at the
+    same fee as the one through X."""
+    spec = drained_triangle_spec()
+    hx = spec["channels"][0]
+    spec["nodes"].append("Z")
+    spec["channels"] += [dict(hx, id="hz", b="Z"), dict(hx, id="zy", a="Z", b="Y")]
+    return spec
+
+
 class TestSendPayment:
     def test_retry_succeeds_via_alternative(self):
         # The fee-free direct hop hub->Y is balance-dead (yh is fully on
@@ -1032,10 +1052,12 @@ class TestSendPayment:
         assert result.route.total_fee_msat > 0
 
     def test_no_retries_reports_failure(self):
-        g = build_graph(triangle_spec())
+        # The hub skips its empty direct channel; the detour fails past it.
+        g = build_graph(drained_triangle_spec())
         result = send_payment(g, "hub", "Y", 1_000_000, max_retries=0)
         assert result.status is PaymentStatus.INSUFFICIENT_BALANCE
-        assert [h.channel_id for h in result.route.hops] == ["yh"]
+        assert [h.channel_id for h in result.route.hops] == ["hx", "xy"]
+        assert result.failed_hop == 1
 
     def test_no_route_status(self, chain_graph):
         result = send_payment(chain_graph, "A", "C", 5_000_000_000)
@@ -1048,17 +1070,37 @@ class TestSendPayment:
     def test_each_attempt_calls_find_route_and_execute_payment(self, monkeypatch):
         # The bench tracer times route search and execution by wrapping these
         # two module globals; an attempt that bypassed them would go unseen.
-        calls = {"find_route": 0, "execute_payment": 0}
-        for name in calls:
+        # The route through X fails at its second hop and the retry settles.
+        calls = count_attempts(monkeypatch)
+        result = send_payment(build_graph(square_spec()), "hub", "Y", 1_000_000, max_retries=2)
+        assert result.status is PaymentStatus.SETTLED
+        assert [h.channel_id for h in result.route.hops] == ["hz", "zy"]
+        assert calls == {"find_route": 2, "execute_payment": 2}
 
-            def counted(*args, _call=getattr(lightning, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _call(*args, **kwargs)
-
-            monkeypatch.setattr(lightning, name, counted)
+    def test_a_short_own_channel_costs_no_attempt(self, monkeypatch):
+        # The hub's cheapest channel to Y, the fee-free direct one, is empty
+        # on its side: the first search already leaves it out.
+        calls = count_attempts(monkeypatch)
         result = send_payment(build_graph(triangle_spec()), "hub", "Y", 1_000_000, max_retries=2)
         assert result.status is PaymentStatus.SETTLED
-        assert calls == {"find_route": 2, "execute_payment": 2}
+        assert [h.channel_id for h in result.route.hops] == ["hx", "xy"]
+        assert calls == {"find_route": 1, "execute_payment": 1}
+
+    def test_a_payer_with_no_channel_holding_the_amount_has_no_route(self, monkeypatch):
+        # X holds nothing on either of its channels. The search that skips
+        # them finds no route, and nothing is tried: insufficient_balance
+        # always names a route that was tried and the hop that was short.
+        g = build_graph(drained_triangle_spec())
+        before = graph_state(g)
+        calls = count_attempts(monkeypatch)
+        assert send_payment(g, "X", "Y", 1_000_000, max_retries=3) == PaymentResult(
+            PaymentStatus.NO_ROUTE
+        )
+        assert calls == {"find_route": 1, "execute_payment": 0}
+        assert graph_state(g) == before
+        twin = build_graph(drained_triangle_spec())
+        blind = reference_send_payment(twin, "X", "Y", 1_000_000, blind=True)
+        assert (blind.status, blind.failed_hop) == (PaymentStatus.INSUFFICIENT_BALANCE, 0)
 
     def test_matches_the_reference_loop(self, monkeypatch):
         """Payment sequences, with rebalances between them, give the same
@@ -1105,8 +1147,12 @@ class TestSendPayment:
                     src, dst = rng.sample(nodes, 2)
                     amount = rng.randrange(1, rng.choice((300_000, 300_000, 3_000_000)))
                     exits = list(g.adjacent(src))
-                    if exits and rng.random() < 0.2:  # all a first hop holds
+                    pick = rng.random()
+                    if exits and pick < 0.2:  # all a first hop holds
                         amount = max(1, rng.choice(exits).balance_from(src))
+                    elif g.channels and pick < 0.4:  # all one side of any channel holds
+                        ch = g.channels[rng.choice(sorted(g.channels))]
+                        amount = max(1, ch.balance_from(rng.choice((ch.node_a, ch.node_b))))
                     cap = rng.choice((None, rng.randrange(0, 3_000)))
                     retries = rng.randrange(0, 4)
                     executions.clear()
@@ -1121,6 +1167,54 @@ class TestSendPayment:
                     seen["retried"] += len(executions) > 1
                 assert graph_state(g) == graph_state(ref), (trial, step)
         assert min(seen.values()) > 100, seen
+
+
+class TestOwnBalances:
+    """The sender knows its own balances, and only those: remote ones stay
+    private, so an attempt can still fail past the first hop."""
+
+    @staticmethod
+    def _payments(seed: int):
+        """A random graph and its twin, with a few payments between random
+        nodes; an amount is often exactly, or at most, what one channel side
+        holds."""
+        rng = random.Random(seed)
+        spec = random_graph_spec(rng, max_nodes=rng.choice((4, 8)))
+        g, twin = build_graph(spec), build_graph(spec)
+        nodes, channels = sorted(g.nodes), sorted(g.channels.values(), key=lambda ch: ch.id)
+        for _ in range(12 if channels else 0):
+            src, dst = rng.sample(nodes, 2)
+            ch = rng.choice(channels)
+            held = ch.balance_from(rng.choice((ch.node_a, ch.node_b)))
+            amount = max(1, rng.choice((held, rng.randint(0, held), rng.randrange(1, 2_000_000))))
+            cap = rng.choice((None, rng.randrange(0, 5_000)))
+            yield g, twin, (src, dst, amount, cap, rng.randrange(4))
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_a_sender_whose_channels_all_hold_the_amount_pays_as_the_blind_loop(self, seed):
+        for g, twin, payment in self._payments(seed):
+            src, amount = payment[0], payment[2]
+            if any(ch.balance_from(src) < amount for ch in g.adjacent(src)):
+                continue
+            assert send_payment(g, *payment) == reference_send_payment(twin, *payment, blind=True)
+            assert graph_state(g) == graph_state(twin)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_no_attempt_leaves_through_a_channel_short_of_the_amount(self, seed):
+        tried = []
+
+        def execute(graph, route, amount_msat):
+            hop = route.hops[0]
+            tried.append(graph.channels[hop.channel_id].balance_from(hop.from_node) - amount_msat)
+            return execute_payment(graph, route, amount_msat)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lightning, "execute_payment", execute)
+            for g, _, payment in self._payments(seed):
+                send_payment(g, *payment)
+        assert all(left >= 0 for left in tried), tried
 
 
 class TestRouteChecks:
