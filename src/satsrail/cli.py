@@ -14,7 +14,8 @@ file, or its ``graph_path`` / ``merchants_path`` file, that cannot be read
 as UTF-8 JSON is an invalid config: ``error: invalid config: <path>: ...``;
 so is any key its schema rejects, graph spec included, as
 ``error: invalid config: <key>: ...``, where a channel's own rejects name
-``graph.channels[i]`` and the graph's name ``graph``. Output paths are
+``graph.channels[i]`` and the graph's the key they concern, such as
+``graph.hub`` or ``graph.channels[i].a``. Output paths are
 checked before a scenario runs or a table prints, so a command that fails
 on one leaves no output. Relative config paths not found locally are also
 tried under ``$SATSRAIL_CONFIG_DIR``; an output is compared with the config

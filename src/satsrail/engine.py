@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 import operator
@@ -58,7 +57,7 @@ from .rail import (
     month_rail_cashflow,
     sats_back_outlay,
 )
-from .rng import SEED_RANGE, child_seed
+from .rng import SEED_RANGE, child_seed, sha256
 from .treasury import (
     TreasuryConfig,
     VarCheck,
@@ -116,9 +115,9 @@ class MonteCarloConfig:
 
     def __post_init__(self):
         if self.num_paths < 1:
-            raise ValueError("num_paths must be at least 1")
+            raise ConfigError("num_paths", "must be at least 1")
         if self.master_seed not in SEED_RANGE:
-            raise ValueError("master_seed must be in [-2**127, 2**127)")
+            raise ConfigError("master_seed", "must be in [-2**127, 2**127)")
 
 
 @dataclass(frozen=True)
@@ -202,11 +201,9 @@ class ScenarioConfig:
         seen = set()
         for i, m in enumerate(self.merchants):
             if m.id == graph.hub:
-                raise ConfigError("merchants", f"merchant {m.id!r} cannot be the hub")
+                raise ConfigError(f"merchants[{i}].id", f"merchant {m.id!r} cannot be the hub")
             if m.id not in graph.nodes:
-                raise ConfigError(
-                    "merchants", f"merchant {m.id!r} is not a graph node"
-                )
+                raise ConfigError(f"merchants[{i}].id", f"merchant {m.id!r} is not a graph node")
             if m.id in seen:
                 raise ConfigError(f"merchants[{i}].id", "duplicate merchant id")
             seen.add(m.id)
@@ -715,7 +712,7 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> Scenario
     # One path at a time, so only one path's values and encoder output are
     # held at once; the text is canonical_json of the whole (non-empty) list.
     paths_json = "[\n  " + ",\n  ".join(map(_path_json, results)) + "\n]\n"
-    digest = hashlib.sha256(paths_json.encode("utf-8")).hexdigest()
+    digest = sha256(paths_json.encode("utf-8")).hexdigest()
     return ScenarioReport(
         config_echo=config.to_dict(),
         master_seed=config.monte_carlo.master_seed,

@@ -432,9 +432,18 @@ _CHANNEL = _Section(Channel, _Key("a", str, field="node_a"), _Key("b", str, fiel
 
 def _graph(nodes: tuple[str, ...], hub: str, channels: tuple[Channel, ...]) -> ChannelGraph:
     if len(set(nodes)) != len(nodes):
-        raise ValueError("duplicate node ids in graph spec")
+        raise ConfigError("nodes", "duplicate node ids")
+    if hub not in nodes:
+        raise ConfigError("hub", f"{hub!r} is not a node")
     graph = ChannelGraph(nodes=set(nodes), hub=hub)
-    for channel in channels:
+    for i, channel in enumerate(channels):
+        for end, node in (("a", channel.node_a), ("b", channel.node_b)):
+            if node not in graph.nodes:
+                raise ConfigError(
+                    f"channels[{i}].{end}", f"unknown endpoint {node!r} (channel {channel.id})"
+                )
+        if channel.id in graph.channels:
+            raise ConfigError(f"channels[{i}].id", f"duplicate channel id {channel.id!r}")
         graph.add_channel(channel)
     return graph
 
@@ -454,9 +463,10 @@ def build_graph(spec, key: str = "") -> ChannelGraph:
     A channel's keys are its fields, ``a``/``b`` for its nodes; ``open``
     defaults to true and policy keys to 0. What the schema or a channel
     rejects is a ``ConfigError`` naming the dotted key below ``key``
-    (``channels[0].opne``, ``channels[0].policy_ab``, ``channels[0]``);
-    what the graph rejects (duplicate ids, a dangling endpoint) names
-    ``key``.
+    (``channels[0].opne``, ``channels[0].policy_ab``, ``channels[0]``),
+    and so is what the graph rejects: ``nodes`` for duplicate node ids,
+    ``hub`` for a hub that is not a node, ``channels[0].a`` for a dangling
+    endpoint and ``channels[0].id`` for a duplicate channel id.
     """
     return _GRAPH.parse(spec, key, _Ctx())
 
@@ -802,11 +812,11 @@ def shrink_sleeve(graph: ChannelGraph, target_fraction: float) -> int:
         graph.hub_channels(), key=lambda ch: (ch.balance_from(hub), ch.id)
     )
     total = sum(ch.capacity_msat for ch in channels)
-    frac = decimal_fraction(target_fraction)
+    num, den = decimal_fraction(target_fraction)
     remaining = total
     freed = 0
     for ch in channels:
-        if remaining * frac.denominator <= frac.numerator * total:
+        if remaining * den <= num * total:
             break
         freed += ch.balance_from(hub)
         remaining -= ch.capacity_msat

@@ -9,14 +9,16 @@ decline to a target drawdown) for worst-case scenarios.
 
 from __future__ import annotations
 
-import csv
-import datetime
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:  # imported where a file is read: only the corr command needs it
+    import datetime
 
 from .money import round_half_up
 from .rng import stream
+from .util import ConfigError
 
 MONTHS_PER_YEAR = 12
 STRESS_KINDS = ("linear", "exponential")
@@ -72,7 +74,7 @@ class StressShape:
 
     def __post_init__(self):
         if self.kind not in STRESS_KINDS:
-            raise ValueError(f"kind must be one of {STRESS_KINDS}")
+            raise ConfigError("kind", f"must be one of {STRESS_KINDS}")
         if not 0 <= self.total_drawdown < 1:
             raise ValueError("total_drawdown must be in [0, 1)")
         if self.horizon_months < 1:
@@ -165,6 +167,9 @@ def load_price_csv(path) -> PriceSeries:
     Errors mention the 1-based data row number. Duplicate or out-of-order
     dates are rejected.
     """
+    import csv
+    import datetime
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:

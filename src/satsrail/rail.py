@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .money import cents_to_msat, floor_bps, MSAT_PER_BTC
 from .rng import child_seed, stream, uniform
-from .util import apportion_largest_remainder, check_bounds
+from .util import ConfigError, apportion_largest_remainder, check_bounds
 
 CARD_COST_BPS_RANGE = (200, 300)
 
@@ -35,7 +35,7 @@ class Merchant:
 
     def __post_init__(self):
         if self.settle_mode not in SETTLE_MODES:
-            raise ValueError(f"settle_mode must be one of {SETTLE_MODES}")
+            raise ConfigError("settle_mode", f"must be one of {SETTLE_MODES}")
         check_bounds(self, 10_000, "take_rate_bps", "sats_back_bps")
         if self.active and self.monthly_gmv_cents <= 0:
             raise ValueError("active merchants need positive GMV")
@@ -57,17 +57,21 @@ class TicketParams:
 
     def __post_init__(self):
         if self.median_ticket_cents <= 0:
-            raise ValueError("median ticket must be positive")
+            raise ConfigError("median_ticket_cents", "must be positive")
         if self.ticket_sigma < 0:
-            raise ValueError("ticket sigma must be non-negative")
-        if not 0 < self.min_ticket_cents <= self.max_ticket_cents:
-            raise ValueError("ticket bounds must satisfy 0 < min <= max")
+            raise ConfigError("ticket_sigma", "must be non-negative")
+        if self.min_ticket_cents <= 0:
+            raise ConfigError("min_ticket_cents", "must be positive")
+        if self.max_ticket_cents < self.min_ticket_cents:
+            raise ConfigError("max_ticket_cents", "must be at least min_ticket_cents")
         try:
             finite = math.isfinite(self.mean_ticket_cents)
         except OverflowError:
             finite = False
         if not finite:
-            raise ValueError("mean ticket median * exp(sigma^2 / 2) overflows a float")
+            raise ConfigError(
+                "ticket_sigma", "the mean ticket, median * exp(sigma^2 / 2), overflows a float"
+            )
 
     @property
     def mean_ticket_cents(self) -> float:

@@ -17,13 +17,12 @@ price, rounded up to whole sats. Sales are recorded, never executed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 from .money import MSAT_PER_SAT, MSAT_SUPPLY, SATS_PER_BTC
-from .util import decimal_fraction
+from .rng import normal_quantile
+from .util import ConfigError, decimal_fraction
 
 SURVIVAL_MODES = ("terminal", "pathwise")
 
@@ -55,24 +54,21 @@ class TreasuryConfig:
 
     def __post_init__(self):
         if not 0 <= self.btc_core_sats <= MSAT_SUPPLY // MSAT_PER_SAT:
-            raise ValueError("btc_core_sats must be in [0, 2.1e15], the BTC supply")
-        if self.cash0_cents < 0:
-            raise ValueError("cash0_cents must be non-negative")
-        if min(self.opex_monthly_cents, self.interest_monthly_cents,
-               self.capex_monthly_cents) < 0:
-            raise ValueError("monthly outflow components must be non-negative")
+            raise ConfigError("btc_core_sats", "must be in [0, 2.1e15], the BTC supply")
+        for name in ("cash0_cents", "opex_monthly_cents", "interest_monthly_cents",
+                     "capex_monthly_cents", "cash_yield_apy"):
+            if getattr(self, name) < 0:
+                raise ConfigError(name, "must be non-negative")
         if self.horizon_months < 1:
-            raise ValueError("horizon must be at least one month")
+            raise ConfigError("horizon_months", "must be at least one month")
         if not 0.0 <= self.sleeve_fraction <= 1.0:
-            raise ValueError("sleeve_fraction must be in [0, 1]")
+            raise ConfigError("sleeve_fraction", "must be in [0, 1]")
         if not 0.0 <= self.var_cap_fraction <= 1.0:
-            raise ValueError("var_cap_fraction must be in [0, 1]")
+            raise ConfigError("var_cap_fraction", "must be in [0, 1]")
         if not 0.5 < self.var_confidence < 1.0:
-            raise ValueError("var_confidence must be in (0.5, 1)")
-        if self.cash_yield_apy < 0.0:
-            raise ValueError("cash_yield_apy must be non-negative")
+            raise ConfigError("var_confidence", "must be in (0.5, 1)")
         if self.survival_mode not in SURVIVAL_MODES:
-            raise ValueError(f"survival_mode must be one of {SURVIVAL_MODES}")
+            raise ConfigError("survival_mode", f"must be one of {SURVIVAL_MODES}")
 
     @property
     def out_monthly_cents(self) -> int:
@@ -84,8 +80,8 @@ class TreasuryConfig:
 
     @property
     def sleeve_sats(self) -> int:
-        frac = decimal_fraction(self.sleeve_fraction)
-        return int(self.btc_core_sats * frac.numerator // frac.denominator)
+        num, den = decimal_fraction(self.sleeve_fraction)
+        return int(self.btc_core_sats * num // den)
 
 
 @dataclass(slots=True)
@@ -213,7 +209,7 @@ def sleeve_var(sleeve_value_cents: int, sigma_monthly: float, alpha: float) -> i
         raise ValueError("alpha must be in (0.5, 1)")
     if sigma_monthly == 0.0 or sleeve_value_cents == 0:
         return 0
-    z = NormalDist().inv_cdf(alpha)
+    z = normal_quantile(alpha)
     return int(math.floor(sleeve_value_cents * (1.0 - math.exp(-z * sigma_monthly)) + 0.5))
 
 
@@ -229,8 +225,8 @@ def var_cap_check(var_cents: int, cash_cents: int, cap_fraction: float) -> VarCh
     """Compare sleeve VaR against the cap (a fraction of cash reserves)."""
     if not 0.0 <= cap_fraction <= 1.0:
         raise ValueError("cap_fraction must be in [0, 1]")
-    frac = decimal_fraction(cap_fraction)
-    cap = int(max(0, cash_cents) * frac.numerator // frac.denominator)
+    num, den = decimal_fraction(cap_fraction)
+    cap = int(max(0, cash_cents) * num // den)
     return VarCheck(
         var_cents=var_cents,
         cap_cents=cap,
@@ -298,6 +294,8 @@ def load_holdings_csv(path) -> list[HoldingsRow]:
     Market caps are whole USD in the file and stored as cents. The shares
     column may be empty. Errors name the 1-based data row.
     """
+    import csv  # only the mnav command reads holdings
+
     rows: list[HoldingsRow] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

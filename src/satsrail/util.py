@@ -11,7 +11,6 @@ import operator
 import sys
 import typing
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Sequence
@@ -359,15 +358,24 @@ def _fill_rows(rows, depth: int, out: list) -> str | None:
 
 
 @functools.lru_cache
-def decimal_fraction(x: float | int) -> Fraction:
-    """Exact rational for a human-entered decimal fraction.
+def decimal_fraction(x: float | int) -> tuple[int, int]:
+    """Exact ``(numerator, denominator)``, in lowest terms, of a
+    human-entered decimal fraction.
 
-    Goes through ``repr`` so 0.03 means 3/100, not the binary float just
-    below it; integer-valued inputs pass through exactly.
+    Reads ``repr(x)`` so 0.03 means 3/100, not the binary float just below
+    it; integer inputs pass through exactly.
     """
     if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(repr(x))
+        return x, 1
+    mantissa, _, exponent = repr(x).partition("e")
+    whole, _, digits = mantissa.partition(".")
+    num = int(whole + digits)
+    scale = int(exponent or 0) - len(digits)
+    if scale >= 0:
+        return num * 10**scale, 1
+    den = 10**-scale
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 class ConfigError(ValueError):

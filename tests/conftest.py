@@ -214,12 +214,12 @@ MALFORMED_CONFIGS = [
     ("rail.ticket_sigma", math.inf, "rail.ticket_sigma"),
     ("treasury.var_confidence", -math.inf, "treasury.var_confidence"),
     # Seeds that rng.child_seed cannot encode.
-    ("monte_carlo", {"master_seed": 2**127}, "monte_carlo"),
-    ("monte_carlo", {"master_seed": -(2**127) - 1}, "monte_carlo"),
+    ("monte_carlo", {"master_seed": 2**127}, "monte_carlo.master_seed"),
+    ("monte_carlo", {"master_seed": -(2**127) - 1}, "monte_carlo.master_seed"),
     # More BTC than the 21 M supply (a float the int schema accepts).
-    ("treasury.btc_core_sats", 1e308, "treasury"),
+    ("treasury.btc_core_sats", 1e308, "treasury.btc_core_sats"),
     # A mean ticket, median * exp(sigma^2 / 2), past the float range.
-    ("rail.ticket_sigma", 1e11, "rail"),
+    ("rail.ticket_sigma", 1e11, "rail.ticket_sigma"),
 ]
 
 

@@ -509,15 +509,43 @@ EXTREMES = st.one_of(
 )
 
 
-def numeric_leaves(node, prefix: str = "") -> list[str]:
-    """The dotted keys of every number (not boolean) in a raw config."""
+def leaves(node, kinds: tuple[type, ...], prefix: str = "") -> list[str]:
+    """The dotted keys of every leaf of a raw config whose type is in ``kinds``."""
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, list):
         items = enumerate(node)
     else:
-        return [prefix[1:]] if type(node) in (int, float) else []
-    return [leaf for key, value in items for leaf in numeric_leaves(value, f"{prefix}.{key}")]
+        return [prefix[1:]] if type(node) in kinds else []
+    return [leaf for key, value in items for leaf in leaves(value, kinds, f"{prefix}.{key}")]
+
+
+# The string leaves that name a mode, a model or a node, and the odd values
+# they are set to: empty, unknown, non-ASCII and 10 KB long.
+STRING_LEAVES = re.compile(
+    r"(merchants\.\d+\.(id|settle_mode)|treasury\.survival_mode|market\.(model|kind)"
+    r"|graph\.hub|graph\.channels\.\d+\.[ab])"
+)
+ODD_STRINGS = st.sampled_from(["", "no-such-value", "caf\u00e9-\u03a9-\u2603", "x" * 10_240])
+
+
+def _simulate_raw(raw: dict) -> tuple[int, str]:
+    """Exit code and stderr of ``simulate`` on ``raw``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["simulate", "--config", str(config), "--out", f"{tmp}/r.json"])
+    return code, err.getvalue()
+
+
+def _golden_raw(case: str) -> dict:
+    """A golden config held to one path of at most three months."""
+    raw = json.loads((GOLDEN / case / "config.json").read_text(encoding="utf-8"))
+    raw["monte_carlo"]["num_paths"] = 1
+    raw["treasury"]["horizon_months"] = min(raw["treasury"]["horizon_months"], 3)
+    return raw
 
 
 class TestEveryConfigRunsOrIsRefused:
@@ -527,21 +555,35 @@ class TestEveryConfigRunsOrIsRefused:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_numeric_leaves_exit_0_1_or_2(self, data):
-        case = data.draw(st.sampled_from(GOLDEN_CASES), label="case")
-        raw = json.loads((GOLDEN / case / "config.json").read_text(encoding="utf-8"))
-        raw["monte_carlo"]["num_paths"] = 1
-        raw["treasury"]["horizon_months"] = min(raw["treasury"]["horizon_months"], 3)
-        keys = st.lists(st.sampled_from(numeric_leaves(raw)), min_size=1, max_size=3, unique=True)
+        raw = _golden_raw(data.draw(st.sampled_from(GOLDEN_CASES), label="case"))
+        keys = st.lists(st.sampled_from(leaves(raw, (int, float))), min_size=1, max_size=3, unique=True)
         for key in data.draw(keys, label="keys"):
             set_key(raw, key, data.draw(SMALL if key in WORK_KEYS else EXTREMES, label=key))
-        with tempfile.TemporaryDirectory() as tmp:
-            config = Path(tmp) / "config.json"
-            config.write_text(json.dumps(raw), encoding="utf-8")
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = main(["simulate", "--config", str(config), "--out", f"{tmp}/r.json"])
+        code, err = _simulate_raw(raw)
         assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_string_leaves_exit_0_or_2_naming_the_key(self, data):
+        raw = _golden_raw(data.draw(st.sampled_from(GOLDEN_CASES), label="case"))
+        # survival_mode defaults, so a config need not hold it to have it.
+        fuzzed = {"treasury.survival_mode"}
+        fuzzed.update(key for key in leaves(raw, (str,)) if STRING_LEAVES.fullmatch(key))
+        keys = data.draw(
+            st.lists(st.sampled_from(sorted(fuzzed)), min_size=1, max_size=2, unique=True), label="keys"
+        )
+        for key in keys:
+            set_key(raw, key, data.draw(ODD_STRINGS, label=key))
+        code, err = _simulate_raw(raw)
+        assert "Traceback" not in err
+        if code != 0:
+            assert code == 2, err
+            parents = {key.rpartition(".")[0] for key in keys}
+            if len(parents) < len(keys):  # a rule over two fields names their record
+                keys += parents
+            named = [re.sub(r"\.(\d+)", r"[\1]", key) for key in keys]
+            assert any(err.startswith(f"error: invalid config: {key}: ") for key in named), err[:300]
 
     def test_a_price_no_ticket_can_carry_runs(self, tmp_path):
         # At 10**30 cents a BTC every ticket is under half a msat: none is

@@ -1,10 +1,23 @@
 """Draw-level laws and pins for the keyed random streams."""
 
+import hashlib
 import math
+from statistics import NormalDist
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from satsrail.rng import Stream, child_seed, stream, uniform
+from satsrail import rng
+from satsrail.rng import (
+    OPENSSL_MIN_BYTES,
+    Stream,
+    child_seed,
+    normal_quantile,
+    sha256,
+    stream,
+    uniform,
+)
 
 
 class TestDrawLaws:
@@ -68,3 +81,38 @@ class TestPinnedValues:
             0.40203489656015,
             0.9701870748688797,
         ]
+
+
+class TestLeanReplacements:
+    """The lean-import helpers equal the stdlib modules they stand in for."""
+
+    @given(st.binary(max_size=4096))
+    def test_sha256_equals_hashlib_on_random_bytes(self, data):
+        assert sha256(data).digest() == hashlib.sha256(data).digest()
+
+    @pytest.mark.parametrize("size", [OPENSSL_MIN_BYTES - 1, OPENSSL_MIN_BYTES, OPENSSL_MIN_BYTES + 1])
+    def test_sha256_equals_hashlib_at_the_threshold(self, size):
+        data = bytes(range(256)) * (size // 256) + bytes(size % 256)
+        assert len(data) == size
+        assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+    def test_sha256_takes_the_builtin_below_the_threshold_only(self):
+        builtin = type(rng._builtin_sha256(b""))
+        assert type(sha256(bytes(OPENSSL_MIN_BYTES - 1))) is builtin
+        assert type(sha256(bytes(OPENSSL_MIN_BYTES))) is type(hashlib.sha256())
+
+    def test_child_seed_hashes_the_incremental_encoding(self):
+        # One update per tag, length and body gives the same digest.
+        raw = "m\u00e9x".encode("utf-8")
+        h = hashlib.sha256()
+        for part in (b"i", (-3).to_bytes(16, "big", signed=True), b"s", len(raw).to_bytes(4, "big"), raw):
+            h.update(part)
+        assert child_seed(-3, "m\u00e9x") == int.from_bytes(h.digest()[:8], "big")
+
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    def test_normal_quantile_equals_normal_dist_bit_for_bit(self, p):
+        assert normal_quantile(p).hex() == NormalDist().inv_cdf(p).hex()
+
+    @pytest.mark.parametrize("p", [2.0**-53, 1 - 2.0**-53, 0.5, 0.99], ids=repr)
+    def test_normal_quantile_at_the_edges(self, p):
+        assert normal_quantile(p).hex() == NormalDist().inv_cdf(p).hex()

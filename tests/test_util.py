@@ -341,8 +341,37 @@ class TestApportion:
 
 def test_decimal_fraction_is_exact_on_every_call():
     for _ in range(2):
-        assert decimal_fraction(0.03) == Fraction(3, 100)
-        assert decimal_fraction(7) == Fraction(7)
+        assert decimal_fraction(0.03) == (3, 100)
+        assert decimal_fraction(7) == (7, 1)
+
+
+class TestDecimalFraction:
+    """``decimal_fraction`` against its ``Fraction(repr(x))`` oracle."""
+
+    @staticmethod
+    def _oracle(x) -> tuple[int, int]:
+        f = Fraction(x) if isinstance(x, int) else Fraction(repr(x))
+        return f.numerator, f.denominator
+
+    @pytest.mark.parametrize(
+        "x",
+        [0.03, 1e-05, 2.5e20, 0.30000000000000004, -0.5, -1e-05, -0.0, 0.0, 1.0, 1e16]
+        + [123.456, 5e-324, sys.float_info.max, 0, -7, 10**30],
+        ids=repr,
+    )
+    def test_known_reprs(self, x):
+        assert decimal_fraction(x) == self._oracle(x)
+
+    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers()))
+    def test_equals_the_fraction_of_its_repr(self, x):
+        assert decimal_fraction(x) == self._oracle(x)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=repr)
+    def test_a_non_finite_float_is_refused_as_by_fraction(self, x):
+        with pytest.raises(ValueError):
+            Fraction(repr(x))
+        with pytest.raises(ValueError):
+            decimal_fraction(x)
 
 
 @pytest.mark.parametrize(
