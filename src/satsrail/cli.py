@@ -56,7 +56,7 @@ from .market import (
 from .money import MSAT_PER_SAT
 from .rng import SEED_RANGE
 from .treasury import HoldingsCsvError, btc_per_share, load_holdings_csv, mnav
-from .util import _read_json
+from .schema import _read_json
 
 CONFIG_DIR_ENV = "SATSRAIL_CONFIG_DIR"
 

@@ -68,7 +68,7 @@ from .treasury import (
     step_treasury,
     var_cap_check,
 )
-from .util import (
+from .schema import (
     ConfigError,
     _Ctx,
     _Custom,
@@ -77,12 +77,11 @@ from .util import (
     _OneOf,
     _read_json,
     _Section,
-    canonical_json,
     check_bounds,
-    fill_layout,
     json_as,
-    json_layout,
+    shown,
 )
+from .util import CanonicalText, canonical_json, fill_layout, json_layout
 
 COVERAGE_ZERO_OPEX = "uncovered-by-zero-opex"
 
@@ -102,10 +101,7 @@ class StressTriggerConfig:
     shrink_target: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.drawdown_threshold <= 1.0:
-            raise ValueError("drawdown_threshold must be in [0, 1]")
-        if not 0.0 <= self.shrink_target <= 1.0:
-            raise ValueError("shrink_target must be in [0, 1]")
+        check_bounds(self, 1, "drawdown_threshold", "shrink_target")
 
 
 @dataclass(frozen=True)
@@ -134,10 +130,9 @@ class RebalancePolicyConfig:
     max_fee_bps: int = 50
 
     def __post_init__(self):
-        if not 0.0 <= self.low_watermark <= 1.0:
-            raise ValueError("low_watermark must be in [0, 1]")
+        check_bounds(self, 1, "low_watermark")
         if self.max_fee_bps < 0:
-            raise ValueError("max_fee_bps must be non-negative")
+            raise ConfigError("max_fee_bps", "must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -153,12 +148,10 @@ class RailEconomicsConfig:
 
     def __post_init__(self):
         check_bounds(self, 10_000, "spread_bps", "variable_cost_bps")
-        if not 0.0 <= self.base_churn <= 1.0:
-            raise ValueError("base_churn must be in [0, 1]")
-        if self.churn_sensitivity < 0.0:
-            raise ValueError("churn_sensitivity must be non-negative")
-        if self.max_route_retries < 0:
-            raise ValueError("max_route_retries must be non-negative")
+        check_bounds(self, 1, "base_churn")
+        for name in ("churn_sensitivity", "max_route_retries"):
+            if getattr(self, name) < 0:
+                raise ConfigError(name, "must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -201,9 +194,9 @@ class ScenarioConfig:
         seen = set()
         for i, m in enumerate(self.merchants):
             if m.id == graph.hub:
-                raise ConfigError(f"merchants[{i}].id", f"merchant {m.id!r} cannot be the hub")
+                raise ConfigError(f"merchants[{i}].id", f"{shown(m.id)} cannot be the hub")
             if m.id not in graph.nodes:
-                raise ConfigError(f"merchants[{i}].id", f"merchant {m.id!r} is not a graph node")
+                raise ConfigError(f"merchants[{i}].id", f"{shown(m.id)} is not a graph node")
             if m.id in seen:
                 raise ConfigError(f"merchants[{i}].id", "duplicate merchant id")
             seen.add(m.id)
@@ -212,7 +205,7 @@ class ScenarioConfig:
                 if peer == graph.hub:
                     raise ConfigError("sleeve_peers", "hub cannot be its own peer")
                 if weight <= 0:
-                    raise ConfigError("sleeve_peers", f"weight for {peer!r} not positive")
+                    raise ConfigError("sleeve_peers", f"weight for {shown(peer)} not positive")
         if self.var_sigma_monthly is not None and self.var_sigma_monthly < 0:
             raise ConfigError("var_sigma_monthly", "must be non-negative")
         sleeve_msat = self.treasury.sleeve_sats * MSAT_PER_SAT
@@ -741,34 +734,15 @@ def report_to_dict(report: ScenarioReport) -> dict:
     return {**_report_header(report), "paths": json.loads(report.paths_json)}
 
 
-def _nested(text: str) -> str:
-    """Canonical JSON ``text`` as it reads one level deeper in a document.
-
-    Every newline gains the two spaces of the enclosing level, and the
-    trailing newline goes; no JSON string holds a raw newline.
-    """
-    return text[:-1].replace("\n", "\n  ")
-
-
-# The top-level "paths" line of a canonical report. Every other line of the
-# document is indented deeper or names another key, so this occurs once.
-_PATHS_LINE = '\n  "paths": '
-
-
 def write_report_json(report: ScenarioReport, path) -> None:
     """Write ``canonical_json(report_to_dict(report))`` without re-encoding paths.
 
-    The header is encoded with ``paths`` null, and ``paths_json``, nested
-    one level, takes the null's place.
+    The document streams to the file in pieces of bounded size, and
+    ``paths`` is ``paths_json`` as it stands, re-indented a piece at a time.
     """
-    header = canonical_json({**_report_header(report), "paths": None})
-    head, _, tail = header.partition(_PATHS_LINE + "null")
-    del header  # the config echo can be most of it; hold one copy, not two
+    document = {**_report_header(report), "paths": CanonicalText(report.paths_json)}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head)
-        fh.write(_PATHS_LINE)
-        fh.write(_nested(report.paths_json))
-        fh.write(tail)
+        canonical_json(document, fh.write)
 
 
 CSV_COLUMNS = [
@@ -789,36 +763,38 @@ CSV_COLUMNS = [
 
 
 def write_report_csv(report: ScenarioReport, path) -> None:
-    """Per-month time series, one row per (path, month)."""
-    lines = [",".join(CSV_COLUMNS)]
-    for p in report.paths:
-        for m in p.months:
-            coverage = (
-                COVERAGE_ZERO_OPEX
-                if math.isinf(m.kpi.opex_coverage_ratio)
-                else repr(m.kpi.opex_coverage_ratio)
-            )
-            lines.append(
-                ",".join(
-                    [
-                        str(p.path_index),
-                        str(m.month),
-                        str(m.price_cents),
-                        str(m.cash_cents),
-                        str(m.rail.gmv_cents),
-                        repr(m.kpi.payment_success_rate),
-                        coverage,
-                        repr(m.kpi.realized_take_rate_bps),
-                        repr(m.kpi.routing_revenue_per_100k_tx_cents),
-                        repr(m.kpi.rebalancing_cost_bps),
-                        repr(m.kpi.merchant_churn_rate),
-                        str(m.sleeve_deployed_msat),
-                        str(int(m.var.passed)),
-                    ]
-                )
-            )
+    """Per-month time series, one row per (path, month), written a path at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for p in report.paths:
+            lines = []
+            for m in p.months:
+                coverage = (
+                    COVERAGE_ZERO_OPEX
+                    if math.isinf(m.kpi.opex_coverage_ratio)
+                    else repr(m.kpi.opex_coverage_ratio)
+                )
+                lines.append(
+                    ",".join(
+                        [
+                            str(p.path_index),
+                            str(m.month),
+                            str(m.price_cents),
+                            str(m.cash_cents),
+                            str(m.rail.gmv_cents),
+                            repr(m.kpi.payment_success_rate),
+                            coverage,
+                            repr(m.kpi.realized_take_rate_bps),
+                            repr(m.kpi.routing_revenue_per_100k_tx_cents),
+                            repr(m.kpi.rebalancing_cost_bps),
+                            repr(m.kpi.merchant_churn_rate),
+                            str(m.sleeve_deployed_msat),
+                            str(int(m.var.passed)),
+                        ]
+                    )
+                )
+            lines.append("")
+            fh.write("\n".join(lines))
 
 
 def mean_finite_coverage(report: ScenarioReport) -> float:

@@ -26,12 +26,8 @@ from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from .money import MSAT_SUPPLY
+from .schema import ConfigError, _Ctx, _Key, _List, _Section, shown
 from .util import (
-    ConfigError,
-    _Ctx,
-    _Key,
-    _List,
-    _Section,
     apportion_largest_remainder,
     canonical_json,  # unused here; bench/tracer.py wraps lightning.canonical_json
     decimal_fraction,
@@ -69,8 +65,9 @@ class FeePolicy:
     proportional_millionths: int = 0
 
     def __post_init__(self):
-        if self.base_fee_msat < 0 or self.proportional_millionths < 0:
-            raise ValueError("fee policy fields must be non-negative")
+        for key, value in ("base_msat", self.base_fee_msat), ("ppm", self.proportional_millionths):
+            if value < 0:  # the JSON key, not the field's name
+                raise ConfigError(key, "must be non-negative")
 
 
 def hop_fee(policy: FeePolicy, forward_amount_msat: int) -> int:
@@ -98,11 +95,11 @@ class Channel:
 
     def __post_init__(self):
         if self.node_a == self.node_b:
-            raise ValueError(f"channel {self.id}: endpoints must differ")
+            raise ValueError(f"channel {shown(self.id)}: endpoints must differ")
         if not 0 < self.capacity_msat <= MSAT_SUPPLY:
-            raise ConfigError("capacity_msat", f"must be in [1, 2.1e18] (channel {self.id})")
+            raise ConfigError("capacity_msat", f"must be in [1, 2.1e18] (channel {shown(self.id)})")
         if not 0 <= self.balance_a_msat <= self.capacity_msat:
-            raise ConfigError("balance_a_msat", f"must be in [0, capacity] (channel {self.id})")
+            raise ConfigError("balance_a_msat", "must be in [0, capacity]")
 
     @property
     def balance_b_msat(self) -> int:
@@ -434,16 +431,14 @@ def _graph(nodes: tuple[str, ...], hub: str, channels: tuple[Channel, ...]) -> C
     if len(set(nodes)) != len(nodes):
         raise ConfigError("nodes", "duplicate node ids")
     if hub not in nodes:
-        raise ConfigError("hub", f"{hub!r} is not a node")
+        raise ConfigError("hub", f"{shown(hub)} is not a node")
     graph = ChannelGraph(nodes=set(nodes), hub=hub)
     for i, channel in enumerate(channels):
         for end, node in (("a", channel.node_a), ("b", channel.node_b)):
-            if node not in graph.nodes:
-                raise ConfigError(
-                    f"channels[{i}].{end}", f"unknown endpoint {node!r} (channel {channel.id})"
-                )
+            if node not in graph.nodes:  # the key names the channel
+                raise ConfigError(f"channels[{i}].{end}", f"unknown endpoint {shown(node)}")
         if channel.id in graph.channels:
-            raise ConfigError(f"channels[{i}].id", f"duplicate channel id {channel.id!r}")
+            raise ConfigError(f"channels[{i}].id", f"duplicate channel id {shown(channel.id)}")
         graph.add_channel(channel)
     return graph
 

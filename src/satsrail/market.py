@@ -18,7 +18,7 @@ if TYPE_CHECKING:  # imported where a file is read: only the corr command needs 
 
 from .money import round_half_up
 from .rng import stream
-from .util import ConfigError
+from .schema import ConfigError
 
 MONTHS_PER_YEAR = 12
 STRESS_KINDS = ("linear", "exponential")
@@ -59,9 +59,9 @@ class GbmParams:
 
     def __post_init__(self):
         if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+            raise ConfigError("sigma", "must be non-negative")
         if self.horizon_months < 1:
-            raise ValueError("horizon must be at least one month")
+            raise ConfigError("horizon_months", "must be at least one month")
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,9 @@ class StressShape:
         if self.kind not in STRESS_KINDS:
             raise ConfigError("kind", f"must be one of {STRESS_KINDS}")
         if not 0 <= self.total_drawdown < 1:
-            raise ValueError("total_drawdown must be in [0, 1)")
+            raise ConfigError("total_drawdown", "must be in [0, 1)")
         if self.horizon_months < 1:
-            raise ValueError("horizon must be at least one month")
+            raise ConfigError("horizon_months", "must be at least one month")
 
 
 def gen_gbm_path(params: GbmParams, start_price_cents: int, seed: int) -> PricePath:

@@ -15,7 +15,8 @@ from typing import Sequence
 
 from .money import cents_to_msat, floor_bps, MSAT_PER_BTC
 from .rng import child_seed, stream, uniform
-from .util import ConfigError, apportion_largest_remainder, check_bounds
+from .schema import ConfigError, check_bounds
+from .util import apportion_largest_remainder
 
 CARD_COST_BPS_RANGE = (200, 300)
 

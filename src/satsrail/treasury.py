@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from .money import MSAT_PER_SAT, MSAT_SUPPLY, SATS_PER_BTC
 from .rng import normal_quantile
-from .util import ConfigError, decimal_fraction
+from .schema import ConfigError
+from .util import decimal_fraction
 
 SURVIVAL_MODES = ("terminal", "pathwise")
 

@@ -1,4 +1,4 @@
-"""Small shared helpers: apportionment, canonical JSON and the config schema."""
+"""Small shared helpers: apportionment and canonical JSON."""
 
 from __future__ import annotations
 
@@ -8,11 +8,8 @@ import itertools
 import json
 import math
 import operator
-import sys
 import typing
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from typing import Callable, Sequence
 
 
@@ -51,17 +48,45 @@ def apportion_largest_remainder(
     return parts
 
 
-def canonical_json(obj) -> str:
+def canonical_json(obj, write: Callable[[str], object] | None = None) -> str | None:
     """Deterministic JSON rendering: sorted keys, two-space indent, newline.
 
     Exactly ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``
     plus ``"\\n"``, errors included, where a dataclass record reads as its
-    ``dataclasses.asdict``. That call takes the stdlib's pure-Python
-    encoder, because ``indent`` is set; here the value is walked once into
-    its layout and its scalars (``json_layout``), and all the scalars go
-    through one call of the stdlib's compact encoder (``fill_layout``).
+    ``dataclasses.asdict`` and a ``CanonicalText`` as the value its text
+    encodes. That call takes the stdlib's pure-Python encoder, because
+    ``indent`` is set; here the value is walked once into its layout and
+    its scalars (``json_layout``), and all the scalars go through one call
+    of the stdlib's compact encoder (``fill_layout``).
+
+    With ``write``, the same text goes to ``write`` in pieces, and None is
+    returned. A value whose layout is within ``_CACHED_CHARS`` is one
+    piece; a longer one is written in runs of its items, each within the
+    bound unless it is a single item (``_split``). Text written before an
+    error stays written, as with ``json.dump``.
     """
-    return fill_layout(*json_layout(obj)) + "\n"
+    if write is None:
+        return fill_layout(*json_layout(obj)) + "\n"
+    _dump(obj, 0, write, set())
+    write("\n")
+    return None
+
+
+class CanonicalText:
+    """Text that ``canonical_json`` returned for a value, to stand for that
+    value inside a larger document without being encoded again.
+
+    ``canonical_json`` re-indents it to its depth; a piece of it that it
+    writes holds at most ``_CACHED_CHARS`` characters. Not a ``str``
+    subclass, because making one would copy the text.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        if not text.endswith("\n"):
+            raise ValueError("canonical text must end with a newline")
+        self.text = text
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
@@ -84,7 +109,7 @@ def json_layout(obj, depth: int = 0) -> tuple[str, list]:
     each ``%``; ``scalars`` holds the values in template order.
     """
     scalars: list = []
-    return _walk(obj, depth, scalars, set()), scalars
+    return _walk(obj, depth, scalars, set(), False), scalars
 
 
 def fill_layout(template: str, scalars: list) -> str:
@@ -105,11 +130,17 @@ def fill_layout(template: str, scalars: list) -> str:
     return template % tuple(tokens)
 
 
-def _walk(obj, depth: int, out: list, active: set) -> str:
+class _TooLong(Exception):
+    """A layout over ``_CACHED_CHARS``, in a walk that must not build one."""
+
+
+def _walk(obj, depth: int, out: list, active: set, bounded: bool) -> str:
     """``obj``'s template at ``depth``; its scalars are appended to ``out``.
 
     ``active`` holds the ids of the enclosing containers walked here, to
-    reject a value that contains itself as the stdlib does.
+    reject a value that contains itself as the stdlib does. When
+    ``bounded``, a layout over ``_CACHED_CHARS`` raises ``_TooLong``, before
+    a long list's scalars are gathered, instead of being built.
     """
     if isinstance(obj, dict):
         if not _STR.issuperset(map(type, obj)):
@@ -123,21 +154,26 @@ def _walk(obj, depth: int, out: list, active: set) -> str:
         if obj and _is_record(obj[0]):
             record = _record(type(obj[0]), depth + 1)
             if record.fits(obj):
+                template = _container(depth, None, (record.template,) * len(obj), bounded)
                 out += itertools.chain.from_iterable(map(record.scalars, obj))
-                return _container(depth, None, (record.template,) * len(obj))
+                return template
         elif obj and type(obj[0]) in _ROW_TYPES:
-            template = _fill_rows(obj, depth, out)
+            template = _fill_rows(obj, depth, out, bounded)
             if template is not None:
                 return template
     elif _is_record(obj):
         keys = _record(type(obj), depth).keys
         values = [getattr(obj, key) for key in keys]
+    elif type(obj) is CanonicalText:
+        if bounded and len(obj.text) > _CACHED_CHARS:
+            raise _TooLong
+        return obj.text[:-1].replace("\n", "\n" + "  " * depth).replace("%", "%%")
     else:
         out.append(obj)
         return "%s"
     if _SCALARS.issuperset(map(type, values)):
         out += values
-        return _container(depth, keys, ("%s",) * len(values))
+        return _container(depth, keys, ("%s",) * len(values), bounded)
     if id(obj) in active:
         raise ValueError("Circular reference detected")
     active.add(id(obj))
@@ -147,9 +183,9 @@ def _walk(obj, depth: int, out: list, active: set) -> str:
             out.append(value)
             items.append("%s")
         else:
-            items.append(_walk(value, depth + 1, out, active))
+            items.append(_walk(value, depth + 1, out, active, bounded))
     active.discard(id(obj))
-    return _container(depth, keys, tuple(items))
+    return _container(depth, keys, tuple(items), bounded)
 
 
 def _is_record(obj) -> bool:
@@ -157,14 +193,19 @@ def _is_record(obj) -> bool:
     return hasattr(type(obj), "__dataclass_fields__")
 
 
-def _container(depth: int, keys: tuple[str, ...] | None, items: tuple[str, ...]) -> str:
+def _container(
+    depth: int, keys: tuple[str, ...] | None, items: tuple[str, ...], bounded: bool = False
+) -> str:
     """Template of an object with ``keys``, or of an array if None, at ``depth``.
 
     ``items`` are the values' templates, in key order. A large layout is
     built on every call rather than kept: building it is one join, and
-    keeping it would keep a copy of every large layout nested in it.
+    keeping it would keep a copy of every large layout nested in it. When
+    ``bounded`` it is not built: that raises ``_TooLong``.
     """
     if sum(map(len, items)) > _CACHED_CHARS:
+        if bounded:
+            raise _TooLong
         return _layout(depth, keys, items)
     return _cached_layout(depth, keys, items)
 
@@ -323,10 +364,10 @@ def _rows(shape: tuple, depth: int) -> _Rows | None:
     return _Rows(template, tuple(containers), tuple(runs))
 
 
-def _fill_rows(rows, depth: int, out: list) -> str | None:
+def _fill_rows(rows, depth: int, out: list, bounded: bool = False) -> str | None:
     """The template of the list ``rows`` at ``depth``, its scalars appended
     to ``out``, when every row has the first row's shape; else None, and
-    ``out`` is untouched.
+    ``out`` is untouched. ``bounded`` is as for ``_walk``.
 
     Each container of the shape is checked as a column over all rows (its
     type and size, and its keys through the getters), and each run of
@@ -337,6 +378,8 @@ def _fill_rows(rows, depth: int, out: list) -> str | None:
     plan = None if shape is None else _rows(shape, depth + 1)
     if plan is None:
         return None
+    if bounded and len(plan.template) * len(rows) > _CACHED_CHARS:
+        raise _TooLong  # before the columns are gathered
     columns: list = []
     try:
         for parent, get, kind, size in plan.containers:
@@ -355,6 +398,94 @@ def _fill_rows(rows, depth: int, out: list) -> str | None:
         return None
     out += values
     return _container(depth, None, (plan.template,) * len(rows))
+
+
+def _dump(obj, depth: int, write: Callable, active: set) -> None:
+    """Write ``obj``'s text at ``depth``, without a trailing newline: one
+    piece if it makes one (``_piece``), else ``_split``.
+
+    ``active`` holds the ids of the enclosing containers being split.
+    """
+    text = _piece(obj, depth, active)
+    if text is None:
+        _split(obj, depth, write, active)
+    else:
+        write(text)
+
+
+def _piece(obj, depth: int, active: set) -> str | None:
+    """``obj``'s text at ``depth`` if its layout is within ``_CACHED_CHARS``
+    and so is its text, unless it is a scalar; else None."""
+    scalars: list = []
+    try:
+        text = fill_layout(_walk(obj, depth, scalars, set(active), True), scalars)
+    except _TooLong:
+        return None
+    if len(text) > _CACHED_CHARS and type(obj) not in _SCALARS:
+        return None
+    return text
+
+
+def _split(obj, depth: int, write: Callable, active: set) -> None:
+    """Write ``obj``, a value that makes no one piece, in pieces.
+
+    Canonical text is re-indented in chunks that stay within the bound.
+    A dict with a key that is not a string is the stdlib's text, whole. A
+    list, dict or record is written in runs of its items, each one piece,
+    so the runs of a uniform list share one cached layout. A run starts at
+    one item. It doubles while its text is under half the bound, and
+    halves while it makes no piece. An item that makes no piece on its own
+    is written by ``_dump``.
+    """
+    if type(obj) is CanonicalText:
+        text, indent = obj.text, "\n" + "  " * depth
+        # No line is empty, so a chunk of n characters holds at most
+        # (n + 1) // 2 newlines and grows to at most n + (n + 1) * depth.
+        step, end = max(1, (_CACHED_CHARS - depth) // (depth + 1)), len(text) - 1
+        for start in range(0, end, step):
+            write(text[start : min(start + step, end)].replace("\n", indent))
+        return
+    if isinstance(obj, dict) and not _STR.issuperset(map(type, obj)):
+        write(fill_layout(*json_layout(obj, depth)))
+        return
+    if id(obj) in active:
+        raise ValueError("Circular reference detected")
+    if isinstance(obj, dict):
+        keys = sorted(obj)
+        values = list(map(obj.__getitem__, keys))
+    elif isinstance(obj, list):
+        keys, values = None, obj
+    elif isinstance(obj, tuple):  # a whole tuple's slice is the tuple itself
+        keys, values = None, list(obj)
+    else:  # a record
+        keys = _record(type(obj), depth).keys
+        values = [getattr(obj, key) for key in keys]
+    active.add(id(obj))
+    brackets = "[]" if keys is None else "{}"
+    inner = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth + brackets[1]
+    start, size = 0, 1
+    while start < len(values):
+        stop = start + size
+        run = values[start:stop]
+        if keys is not None:
+            run = dict(zip(keys[start:stop], run))
+        text = _piece(run, depth, active)
+        if text is None and size > 1:
+            size //= 2
+        elif text is None:
+            key = "" if keys is None else encode_basestring_ascii(keys[start]) + ": "
+            write((brackets[0] if start == 0 else ",") + inner + key)
+            _dump(values[start], depth + 1, write, active)
+            start = stop
+        else:
+            # The run's text without its brackets: its items, each after a newline.
+            write((brackets[0] if start == 0 else ",") + text[1 : len(text) - len(close)])
+            start = stop
+            if 2 * len(text) < _CACHED_CHARS:
+                size *= 2
+    active.discard(id(obj))
+    write(close)
 
 
 @functools.lru_cache
@@ -376,246 +507,3 @@ def decimal_fraction(x: float | int) -> tuple[int, int]:
     den = 10**-scale
     g = math.gcd(num, den)
     return num // g, den // g
-
-
-class ConfigError(ValueError):
-    """Configuration problem; names the offending dotted key."""
-
-    def __init__(self, key: str, message: str):
-        self.key = key
-        self.message = message
-        super().__init__(f"{key}: {message}" if key else message)
-
-
-def check_bounds(record, high: int, *names: str) -> None:
-    """Refuse a field of ``record`` outside [0, ``high``], naming its key."""
-    for name in names:
-        if not 0 <= getattr(record, name) <= high:
-            raise ConfigError(name, f"must be in [0, {high}]")
-
-
-_JSON_TYPES = {int: "an integer", float: "a number", str: "a string"}
-_JSON_TYPES.update({bool: "true or false", dict: "an object", list: "a list"})
-
-
-def json_as(kind: type, value, key: str):
-    """``value`` as ``kind``; ints pass as floats, integral numbers as ints.
-
-    Anything else is a ``ConfigError`` naming ``key``.
-    """
-    if kind is float and type(value) is int:
-        value = float(value) if abs(value) <= sys.float_info.max else math.inf
-    elif kind is int and type(value) is float and value.is_integer():
-        value = int(value)
-    if type(value) is not kind or (kind is float and not math.isfinite(value)):
-        shown = json.dumps(value, default=repr)[:60]
-        raise ConfigError(key, f"must be {_JSON_TYPES[kind]}, not {shown}")
-    return value
-
-
-# --------------------------------------------------------------------------
-# Config schema: the dataclasses declare the keys, and overrides the exceptions
-# --------------------------------------------------------------------------
-
-_REQUIRED = object()
-
-
-def _join(parent: str, name: str) -> str:
-    return f"{parent}.{name}" if parent else name
-
-
-def _read_json(path, key: str):
-    """Load a JSON file; an unreadable or malformed one is a ConfigError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(key, f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise ConfigError(key, f"not valid JSON: {exc}") from None
-
-
-@dataclass
-class _Ctx:
-    """One parse: the config's directory, and the fields of its outermost
-    section, filled as they are read, for defaults that depend on them."""
-
-    base_dir: Path = Path(".")
-    fields: dict | None = None
-
-
-@dataclass(frozen=True)
-class _Key:
-    """One JSON key: the dataclass field it fills, its kind and its default.
-
-    ``kind`` is a JSON scalar type, ``dict`` or an object with ``parse`` and
-    ``echo``. ``default`` is JSON, parsed like a given value, or a function
-    of the outermost section's fields read so far; ``null`` passes only
-    where it is None. ``path_key`` names a sibling key that may give the
-    value as a JSON file relative to the config's directory. A nameless key
-    is a section whose keys sit in the enclosing object.
-    """
-
-    name: str | None
-    kind: object
-    default: object = _REQUIRED
-    field: str | None = None
-    path_key: str | None = None
-
-    def read(self, raw: dict, parent: str, ctx: _Ctx):
-        kind = self.kind
-        if self.name is None:
-            return kind.parse({k: v for k, v in raw.items() if k in kind.names}, parent, ctx)
-        value = raw.get(self.name, _REQUIRED)
-        key = _join(parent, self.name)
-        if value is _REQUIRED:
-            if self.path_key in raw:
-                path_key = _join(parent, self.path_key)
-                path = ctx.base_dir / json_as(str, raw[self.path_key], path_key)
-                value = _read_json(path, path_key)
-            elif self.default is _REQUIRED:
-                either = f" (or {self.path_key!r})" if self.path_key else ""
-                raise ConfigError(key, f"missing required value{either}")
-            else:
-                value = self.default(ctx.fields) if callable(self.default) else self.default
-        if value is None and self.default is None:
-            return None
-        if isinstance(kind, type):
-            return json_as(kind, value, key)
-        return kind.parse(value, key, ctx)
-
-
-# The section of each dataclass, filled at import: one JSON shape per class.
-_SECTIONS: dict[type, _Section] = {}
-
-
-class _Section:
-    """A JSON object whose keys build one dataclass; other keys are errors.
-
-    Each field is the key its declaration gives unless one of ``overrides``
-    fills it: the field's name, its annotation as the kind and its default.
-    An ``X | None`` field takes null as its None default. A dataclass field
-    is that class's section, defaulting to ``{}`` if the field has a
-    ``default_factory``; a class's section must be made before it is used.
-    A field whose name starts with ``_`` is no key and keeps its default.
-    ``make`` builds the record from its fields, ``cls`` by default; what it
-    rejects with ``ValueError`` is a ``ConfigError`` naming the section, and
-    a ``ConfigError`` it raises names its key below the section.
-    """
-
-    def __init__(self, cls: type, *overrides: _Key, make: Callable | None = None):
-        fields = {f.name: f for f in dataclasses.fields(cls) if f.init and f.name[0] != "_"}
-        given = {k.field or k.name: k for k in overrides}
-        stray = sorted(set(given) - set(fields))
-        if stray or cls in _SECTIONS:
-            problem = f"no field {stray[0]!r}" if stray else "two sections"
-            raise TypeError(f"{cls.__name__} has {problem}")
-        _SECTIONS[cls] = self
-        hints = typing.get_type_hints(cls)
-        self.cls, self.make = cls, make or cls
-        self.keys = {
-            name: given.get(name) or _field_key(f, hints[name]) for name, f in fields.items()
-        }
-        self.names = frozenset().union(
-            *({k.name, k.path_key} - {None} if k.name else k.kind.names for k in self.keys.values())
-        )
-        # Per field: its JSON name, the JSON type whose values pass as they
-        # are (not float, which must be finite), and the read of the rest.
-        self.plan = tuple(
-            (name, k.name, k.kind if k.kind in (bool, int, str, dict, list) else None, k.read)
-            for name, k in self.keys.items()
-        )
-
-    def parse(self, raw, key: str, ctx: _Ctx):
-        if type(raw) is not dict:
-            json_as(dict, raw, key)
-        if not raw.keys() <= self.names:
-            raise ConfigError(_join(key, min(raw.keys() - self.names)), "unknown key")
-        fields: dict = {}
-        if ctx.fields is None:
-            ctx.fields = fields
-        for name, json_name, exact, read in self.plan:
-            value = raw.get(json_name, _REQUIRED)
-            fields[name] = value if type(value) is exact else read(raw, key, ctx)
-        try:
-            return self.make(**fields)
-        except ConfigError as exc:
-            raise ConfigError(_join(key, exc.key), exc.message) from None
-        except ValueError as exc:
-            raise ConfigError(key, str(exc)) from None
-
-    def echo(self, obj) -> dict:
-        out = {}
-        for name, k in self.keys.items():
-            value = getattr(obj, name)
-            if value is not None and not isinstance(k.kind, type):
-                value = k.kind.echo(value)
-            if k.name is None:
-                out.update(value)
-            else:
-                out[k.name] = value
-        return out
-
-
-def _field_key(f: dataclasses.Field, hint) -> _Key:
-    """The key a dataclass field declares: its name, type and default."""
-    if type(None) in typing.get_args(hint):  # X | None
-        (hint,) = set(typing.get_args(hint)) - {type(None)}
-    if dataclasses.is_dataclass(hint):
-        kind = _SECTIONS.get(hint) or _Section(hint)
-        default = _REQUIRED if f.default_factory is dataclasses.MISSING else {}
-    elif hint in (bool, int, float, str):
-        kind = hint
-        default = _REQUIRED if f.default is dataclasses.MISSING else f.default
-    else:
-        raise TypeError(f"field {f.name!r} of type {hint} needs an explicit key")
-    return _Key(f.name, kind, default)
-
-
-class _List:
-    """A JSON list whose items are each ``kind``: a JSON scalar type or a section."""
-
-    def __init__(self, kind):
-        self.kind = kind
-
-    def parse(self, raw, key: str, ctx: _Ctx) -> tuple:
-        if type(raw) is not list:
-            json_as(list, raw, key)
-        kind = self.kind
-        if isinstance(kind, type):  # the key is named only for an error
-            return tuple(
-                x if type(x) is kind and kind is not float else json_as(kind, x, f"{key}[{i}]")
-                for i, x in enumerate(raw)
-            )
-        return tuple(kind.parse(x, f"{key}[{i}]", ctx) for i, x in enumerate(raw))
-
-    def echo(self, items) -> list:
-        if isinstance(self.kind, type):
-            return list(items)
-        return [self.kind.echo(item) for item in items]
-
-
-class _OneOf:
-    """A JSON object whose ``tag`` key names the section that parses it."""
-
-    def __init__(self, tag: str, **sections: _Section):
-        self.tag, self.sections = tag, sections
-
-    def parse(self, raw, key: str, ctx: _Ctx):
-        section = self.sections.get(json_as(dict, raw, key).get(self.tag))
-        if section is None:
-            choices = " or ".join(map(repr, self.sections))
-            raise ConfigError(_join(key, self.tag), f"must be {choices}")
-        return section.parse({k: v for k, v in raw.items() if k != self.tag}, key, ctx)
-
-    def echo(self, obj) -> dict:
-        tag = next(t for t, s in self.sections.items() if isinstance(obj, s.cls))
-        return {self.tag: tag, **self.sections[tag].echo(obj)}
-
-
-@dataclass(frozen=True)
-class _Custom:
-    """A kind parsed by ``parse(raw, key, ctx)`` and echoed by ``echo``."""
-
-    parse: Callable
-    echo: Callable

@@ -577,6 +577,8 @@ class TestEveryConfigRunsOrIsRefused:
             set_key(raw, key, data.draw(ODD_STRINGS, label=key))
         code, err = _simulate_raw(raw)
         assert "Traceback" not in err
+        # A 10 KB value is shown cut short, not whole.
+        assert max(map(len, err.splitlines()), default=0) <= 200, err[:300]
         if code != 0:
             assert code == 2, err
             parents = {key.rpartition(".")[0] for key in keys}
@@ -644,6 +646,57 @@ class TestDomainBounds:
     @pytest.mark.parametrize("dotted, _, within", DOMAIN_BOUNDS)
     def test_the_bound_runs(self, dotted, _, within, tmp_path):
         assert self._simulate(tmp_path, dotted, within) == 0
+
+
+STRESS_MARKET = {"model": "stress", "kind": "linear", "total_drawdown": 0.5}
+TRIGGER = {"drawdown_threshold": 0.3, "shrink_target": 0.5}
+# The records' own range checks: (dotted key, a value past the range, a value
+# at its edge or None, the message, sections set first).
+RANGE_ERRORS = [
+    ("market.sigma", -0.1, 0.0, "must be non-negative", {}),
+    ("market.horizon_months", 0, None, "must be at least one month", {}),
+    ("market.total_drawdown", 1.0, 0.0, "must be in [0, 1)", {"market": STRESS_MARKET}),
+    ("rebalance.low_watermark", 1.5, 1.0, "must be in [0, 1]", {}),
+    ("rebalance.max_fee_bps", -1, 0, "must be non-negative", {}),
+    ("stress_trigger.shrink_target", -0.5, 0.0, "must be in [0, 1]", {"stress_trigger": TRIGGER}),
+    ("stress_trigger.drawdown_threshold", 2.0, 0.0, "must be in [0, 1]", {"stress_trigger": TRIGGER}),
+    ("rail.base_churn", 1.01, 1.0, "must be in [0, 1]", {}),
+    ("rail.churn_sensitivity", -0.5, 0.0, "must be non-negative", {}),
+    ("rail.max_route_retries", -1, 0, "must be non-negative", {}),
+    ("hub_fee_policy.base_msat", -1, 0, "must be non-negative", {}),
+    ("hub_fee_policy.ppm", -1, 0, "must be non-negative", {}),
+    ("graph.channels.0.policy_ab.ppm", -1, 0, "must be non-negative", {}),
+]
+
+
+class TestRangeErrors:
+    """A record's range check is refused with exit 2, naming the JSON key
+    below its section; its edge runs."""
+
+    @staticmethod
+    def _simulate(tmp_path, dotted: str, value, sections: dict) -> int:
+        raw = json.loads((GOLDEN / "rail_hub_tiny" / "config.json").read_text(encoding="utf-8"))
+        raw.update(json.loads(json.dumps(sections)))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(set_key(raw, dotted, value)), encoding="utf-8")
+        return main(["simulate", "--config", str(config), "--out", str(tmp_path / "r.json")])
+
+    @pytest.mark.parametrize(
+        "dotted, past, _, message, sections", RANGE_ERRORS, ids=[case[0] for case in RANGE_ERRORS]
+    )
+    def test_past_the_range_exits_2_naming_the_key(
+        self, dotted, past, _, message, sections, tmp_path, capsys
+    ):
+        assert self._simulate(tmp_path, dotted, past, sections) == 2
+        key = re.sub(r"\.(\d+)", r"[\1]", dotted)
+        assert capsys.readouterr().err == f"error: invalid config: {key}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "dotted, _, edge, __, sections",
+        [pytest.param(*case, id=case[0]) for case in RANGE_ERRORS if case[2] is not None],
+    )
+    def test_the_edge_runs(self, dotted, _, edge, __, sections, tmp_path):
+        assert self._simulate(tmp_path, dotted, edge, sections) == 0
 
 
 class TestNotANumber:

@@ -9,6 +9,9 @@ import math
 import pickle
 import random
 import re
+import subprocess
+import sys
+import tracemalloc
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -806,6 +809,48 @@ def test_every_bench_tracer_site_resolves():
             assert attr in _looked_up_names(module), site
 
 
+# Installs bench/tracer.py's Tracer for the rest of its process, runs the
+# tiny mesh_stress workload through the report functions the bench child
+# calls, twice, and prints each span's name with its parent's name.
+TRACED_RUN = """
+import json, sys
+
+sys.path[:0] = sys.argv[1:3]
+from tracer import Tracer
+import workloads
+from satsrail import engine
+
+tracer = Tracer()
+tracer.install()
+report = engine.run_scenario(engine.config_from_dict(workloads.mesh_stress(7, "tiny")))
+for _ in range(2):
+    engine.write_report_json(report, sys.argv[3] + "/report.json")
+    engine.write_report_csv(report, sys.argv[3] + "/report.csv")
+spans = tracer.spans
+print(json.dumps([[name, parent >= 0 and spans[parent][0]] for name, _, _, parent, _ in spans]))
+"""
+
+
+def test_the_bench_tracer_sees_one_canonical_json_per_report_write(tmp_path):
+    # In a fresh interpreter: the tracer rewraps the modules for good.
+    root = Path(__file__).parents[1]
+    run = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(root / "src"), str(root / "bench"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    spans = json.loads(run.stdout)
+    names = {name for name, _ in spans}
+    # The layers bench/test_bench.py::test_spans_nest requires.
+    for layer in ("lightning.find_route", "lightning.rebalance", "lightning.shrink_sleeve",
+                  "treasury.sleeve_var", "util.canonical_json", "engine.run_path"):
+        assert layer in names
+    encodes = [parent for name, parent in spans if name == "util.canonical_json"]
+    assert encodes == ["engine.write_report_json"] * 2
+
+
 class TestConfigSchema:
     @pytest.mark.parametrize("dotted, value, key", MALFORMED_CONFIGS)
     def test_malformed_value_names_the_dotted_key(self, dotted, value, key):
@@ -1119,6 +1164,60 @@ def with_aggregate(path: PathResult, **edits) -> PathResult:
     aggregate = {**path.kpi_aggregate, **edits}
     aggregate = {k: v for k, v in aggregate.items() if v is not None}
     return dataclasses.replace(path, kpi_aggregate=aggregate)
+
+
+def wide_graph_raw_config(channels: int) -> dict:
+    """``rich_raw_config``, one path, with ``channels`` more closed channels:
+    a report whose config echo is most of it."""
+    raw = rich_raw_config(monte_carlo={"num_paths": 1, "master_seed": 5})
+    nodes = raw["graph"]["nodes"]
+    raw["graph"]["channels"] += [
+        {**chan(f"x{i:05d}", nodes[i % 5], nodes[(i + 1) % 5], 10**9 + i, i), "open": False}
+        for i in range(channels)
+    ]
+    return raw
+
+
+def many_paths_raw_config(paths: int) -> dict:
+    """``empty_raw_config`` over ``paths`` paths of 12 months: a report whose
+    paths are most of it."""
+    raw = empty_raw_config(monte_carlo={"num_paths": paths, "master_seed": 5})
+    raw["treasury"]["horizon_months"] = 12
+    return raw
+
+
+class TestReportMemory:
+    """A report write holds one bounded piece at a time, not the report."""
+
+    @staticmethod
+    def _peak(write, report, out: Path) -> int:
+        write(report, out)  # fills the layout caches, which outlive a write
+        tracemalloc.start()
+        try:
+            write(report, out)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [wide_graph_raw_config(5_000), many_paths_raw_config(200)],
+        ids=["5k-channels", "200-paths"],
+    )
+    def test_the_json_write_peaks_far_below_the_file(self, raw, tmp_path):
+        report = run_scenario(config_from_dict(raw))
+        out = tmp_path / "report.json"
+        peak = self._peak(write_report_json, report, out)
+        assert out.stat().st_size > 1_000_000
+        assert peak < out.stat().st_size / 4
+        assert out.read_bytes() == legacy_report_text(report)[0].encode("utf-8")
+
+    def test_the_csv_write_peaks_far_below_the_file(self, tmp_path):
+        report = run_scenario(config_from_dict(many_paths_raw_config(200)))
+        out = tmp_path / "report.csv"
+        peak = self._peak(write_report_csv, report, out)
+        assert peak < out.stat().st_size / 4
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 200 * 12
 
 
 class TestReports:

@@ -46,7 +46,7 @@ from satsrail.lightning import (
     send_payment,
     shrink_sleeve,
 )
-from satsrail.util import ConfigError
+from satsrail.schema import ConfigError
 
 
 def free_graph(*nodes: str, edges: list[str]):

@@ -1,5 +1,7 @@
 """``canonical_json`` against the stdlib formula it must reproduce byte for byte."""
 
+import contextlib
+import dataclasses
 import json
 import math
 import sys
@@ -11,12 +13,12 @@ from hypothesis import strategies as st
 
 from conftest import stdlib_canonical_json
 from satsrail import util
+from satsrail.schema import ConfigError, json_as
 from satsrail.util import (
-    ConfigError,
+    CanonicalText,
     apportion_largest_remainder,
     canonical_json,
     decimal_fraction,
-    json_as,
 )
 
 TRICKY_CHARS = st.sampled_from(
@@ -284,6 +286,187 @@ class TestRows:
         rows = misfits(rows, i, value)
         for placed in (rows, {"k": rows}):
             assert outcome(canonical_json, placed) == outcome(stdlib_canonical_json, placed)
+
+
+def pieces_of(value) -> list[str]:
+    """The pieces ``canonical_json`` writes for ``value`` to a sink."""
+    pieces: list[str] = []
+    assert canonical_json(value, pieces.append) is None
+    return pieces
+
+
+def sink_outcome(value):
+    """The joined pieces, or the type of the exception the sink mode raised."""
+    return outcome(lambda v: "".join(pieces_of(v)), value)
+
+
+@contextlib.contextmanager
+def piece_bound(chars: int):
+    """``util._CACHED_CHARS`` set to ``chars``, so that small values split.
+
+    The caches of plans and layouts hold what the bound decided; they are
+    emptied on the way in and out, so no other test sees them.
+    """
+    caches = (util._rows, util._record, util._cached_layout)
+    saved = util._CACHED_CHARS
+    for cache in caches:
+        cache.cache_clear()
+    util._CACHED_CHARS = chars
+    try:
+        yield
+    finally:
+        util._CACHED_CHARS = saved
+        for cache in caches:
+            cache.cache_clear()
+
+
+@dataclasses.dataclass
+class Point:
+    """A fixed record: its fields are scalars."""
+
+    x: int
+    y: float
+    label: str
+
+
+@dataclasses.dataclass
+class Box:
+    """A record walked field by field."""
+
+    name: str
+    items: list
+
+
+def _wrap(pair):
+    """A value as ``CanonicalText`` of its stdlib text, beside the plain value."""
+    return CanonicalText(stdlib_canonical_json(pair[1])), pair[1]
+
+
+def _split_pairs(pairs):
+    return [fancy for fancy, _ in pairs], [plain for _, plain in pairs]
+
+
+SHORT_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**6), 10**6), FLOATS, STRINGS, st.just("%s" * 200)
+)
+POINTS = st.builds(Point, st.integers(), FLOATS, STRINGS).map(lambda p: (p, dataclasses.asdict(p)))
+NON_STRING_KEYS = st.dictionaries(st.integers(-5, 5), SHORT_SCALARS, min_size=1, max_size=3)
+UNIFORM_ROWS = ROW_SHAPES.flatmap(lambda shape: st.lists(value_of(shape), min_size=8, max_size=30))
+# (value, the plain value the stdlib encodes to the same text): records,
+# canonical text at any depth, uniform rows, non-string keys, and lists and
+# dicts of them.
+DOCUMENTS = st.recursive(
+    st.one_of(
+        SHORT_SCALARS.map(lambda v: (v, v)),
+        POINTS,
+        UNIFORM_ROWS.map(lambda rows: (rows, rows)),
+        NON_STRING_KEYS.map(lambda d: (d, d)),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=8).map(_split_pairs),
+        st.lists(children, max_size=8).map(lambda pairs: tuple(map(tuple, _split_pairs(pairs)))),
+        st.dictionaries(STRINGS, children, max_size=6).map(
+            lambda d: ({k: f for k, (f, _) in d.items()}, {k: p for k, (_, p) in d.items()})
+        ),
+        st.tuples(STRINGS, st.lists(children, max_size=4)).map(
+            lambda t: (Box(t[0], _split_pairs(t[1])[0]), {"name": t[0], "items": _split_pairs(t[1])[1]})
+        ),
+        children.map(_wrap),
+    ),
+    max_leaves=30,
+)
+
+
+class TestSink:
+    """``canonical_json(value, write)`` writes the text the call without a
+    sink returns, in pieces within ``util._CACHED_CHARS``."""
+
+    @given(DOCUMENTS, st.sampled_from([40, 160, 1 << 16]))
+    @settings(max_examples=150, deadline=None)
+    def test_pieces_join_to_the_text(self, pair, bound):
+        value, plain = pair
+        expected = stdlib_canonical_json(plain)
+        assert canonical_json(value) == expected
+        with piece_bound(bound):
+            assert "".join(pieces_of(value)) == expected
+            assert canonical_json(value) == expected
+
+    @given(DOCUMENTS)
+    @settings(max_examples=150, deadline=None)
+    def test_a_piece_over_the_bound_is_one_row(self, pair):
+        with piece_bound(160):
+            pieces = pieces_of(pair[0])
+        for piece in pieces:
+            if len(piece) > 160:
+                # One whole value: a long string, or a dict with a key that is
+                # not a string, which the stdlib writes.
+                assert type(json.loads(piece)) in (str, dict), piece
+
+    @pytest.mark.parametrize("bound", [40, 160, 1 << 16])
+    @pytest.mark.parametrize("value", FIXED_CASES + list(ROW_CASES.values()))
+    def test_fixed_cases_match_or_raise_like_the_stdlib(self, value, bound):
+        with piece_bound(bound):
+            for placed in (value, {"k": [value, value], "z": CanonicalText(canonical_json(0))}):
+                assert sink_outcome(placed) == outcome(canonical_json, placed)
+        for placed in (value, [value, value]):
+            assert sink_outcome(placed) == outcome(stdlib_canonical_json, placed)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, Fraction(1, 3)])
+    @pytest.mark.parametrize("bound", [40, 1 << 16])
+    def test_bad_values_raise_as_without_a_sink(self, bad, bound):
+        rows = [{"a": i, "b": [i, "x"]} for i in range(50)]
+        cases = [bad, [bad], {"k": bad}, {"k": [*rows, {"a": 1, "b": [bad, "x"]}]}, {bad: 1}]
+        with piece_bound(bound):
+            for value in cases:
+                assert sink_outcome(value) == outcome(canonical_json, value)
+                assert sink_outcome(value) == outcome(stdlib_canonical_json, value)
+
+    @pytest.mark.parametrize("bound", [40, 1 << 16])
+    @pytest.mark.parametrize("make", [contains_itself, holds_its_list])
+    def test_values_that_contain_themselves_raise_value_error(self, make, bound):
+        loop = {"a": [1]}
+        loop["a"].append(loop)
+        rows = [{"a": i} for i in range(5000)]
+        rows.append(rows)  # a long list of rows, itself the last row
+        with piece_bound(bound):
+            for value in (loop, make(), [list(range(100)), make()], rows):
+                with pytest.raises(ValueError):
+                    pieces_of(value)
+
+    def test_a_value_within_the_bound_is_one_piece(self):
+        value = {"rows": ROW_CASES["channels"], "n": 1}
+        assert pieces_of(value) == [canonical_json(value)[:-1], "\n"]
+
+    def test_long_lists_go_in_runs_that_share_one_layout(self):
+        rows = [dict(row, id=f"c{i:05d}") for i, row in enumerate(ROW_CASES["channels"] * 400)]
+        value = {"graph": {"channels": rows, "hub": "hub"}, "paths": CanonicalText("[\n  1\n]\n")}
+        pieces = pieces_of(value)
+        assert "".join(pieces) == stdlib_canonical_json({**value, "paths": [1]})
+        assert max(map(len, pieces)) <= util._CACHED_CHARS
+        assert len(pieces) < 3 * len("".join(pieces)) // util._CACHED_CHARS + 20
+
+    def test_a_long_scalar_is_one_piece(self):
+        words = ["x" * 300, "y", "z" * 300]
+        with piece_bound(160):
+            pieces = pieces_of({"w": words})
+        assert "".join(pieces) == stdlib_canonical_json({"w": words})
+        assert [p for p in pieces if len(p) > 160] == [json.dumps(w) for w in words if len(w) > 1]
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_canonical_text_is_reindented_in_chunks(self, depth):
+        inner = [{"k": i, "v": [i, "%s"]} for i in range(3000)]
+        value = CanonicalText(stdlib_canonical_json(inner))
+        for _ in range(depth):
+            value = [value]
+        pieces = pieces_of(value)
+        expected = stdlib_canonical_json(json.loads(json.dumps(value, default=lambda t: inner)))
+        assert "".join(pieces) == expected == canonical_json(value)
+        assert max(map(len, pieces)) <= util._CACHED_CHARS
+        assert len(pieces) > 3
+
+    def test_canonical_text_must_end_with_a_newline(self):
+        with pytest.raises(ValueError, match="newline"):
+            CanonicalText("[]")
 
 
 def fraction_apportion(total, weights):
