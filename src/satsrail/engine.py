@@ -325,12 +325,12 @@ class KpiMonth:
 
 @functools.cache
 def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
+    return tuple(f.name for f in dataclasses.fields(cls) if f.init)
 
 
 # A path's ``kpi_aggregate`` keys: the KPI record's, less the month number.
 _AGGREGATE_KEYS = tuple(name for name in _field_names(KpiMonth) if name != "month")
-# A month record's fields in order, read in one call.
+# A month record's ten components in order, read in one call.
 _RAIL_COLUMNS = operator.attrgetter(*_field_names(RailMonthRecord))
 
 
@@ -358,12 +358,7 @@ def kpi_month(
         if rebal_volume_cents
         else 0.0
     )
-    fee_revenue = (
-        record.acquiring_fee_cents
-        + record.hedge_spread_cents
-        + record.routing_fee_cents
-    )
-    coverage = fee_revenue / opex_cents if opex_cents else math.inf
+    coverage = record.fee_revenue_cents / opex_cents if opex_cents else math.inf
     return KpiMonth(
         month=record.month,
         gmv_cents=gmv,

@@ -309,7 +309,7 @@ class ChannelGraph:
 
     def add_channel(self, ch: Channel) -> None:
         if ch.id in self.channels:
-            raise ValueError(f"duplicate channel id {ch.id!r}")
+            raise ValueError(f"duplicate channel id {shown(ch.id)}")
         self.channels[ch.id] = ch
         self._register(ch)
         self._indexes = {}
@@ -773,8 +773,8 @@ def deploy_sleeve(
     small = [p for p, alloc in parts.items() if alloc < min_channel_msat]
     if small:
         raise ValueError(
-            f"sleeve too small: peers {sorted(small)} would get less than "
-            f"{min_channel_msat} msat"
+            f"sleeve too small: peer {shown(min(small))} and {len(small) - 1} more "
+            f"would get less than {min_channel_msat} msat"
         )
     opened = []
     for peer, _ in peers:

@@ -10,10 +10,10 @@ merchants 200-300 bps; the rail's take rate sits well below that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .money import cents_to_msat, floor_bps, MSAT_PER_BTC
+from .money import cents_to_msat, floor_bps, msat_to_cents
 from .rng import child_seed, stream, uniform
 from .schema import ConfigError, check_bounds
 from .util import apportion_largest_remainder
@@ -179,11 +179,7 @@ def hedge_settlement(
     gross and the merchant receives the rest, so the two always sum to
     gross and no price exposure remains.
     """
-    if price_cents_per_btc <= 0:
-        raise ValueError("price must be positive")
-    if amount_msat < 0 or spread_bps < 0:
-        raise ValueError("amount and spread must be non-negative")
-    gross = amount_msat * price_cents_per_btc // MSAT_PER_BTC
+    gross = msat_to_cents(amount_msat, price_cents_per_btc)
     spread_revenue = floor_bps(gross, spread_bps)
     return gross - spread_revenue, spread_revenue
 
@@ -224,7 +220,7 @@ def apply_churn(
 
 @dataclass(frozen=True)
 class RailMonthRecord:
-    """One month of non-mark-to-market rail cash flows and their net."""
+    """One month of non-mark-to-market rail cash flows and their derived net."""
 
     month: int
     gmv_cents: int
@@ -236,7 +232,7 @@ class RailMonthRecord:
     rebalancing_cost_cents: int
     sats_back_cents: int
     variable_cost_cents: int
-    net_inflow_cents: int
+    net_inflow_cents: int = field(init=False)
 
     def __post_init__(self):
         components = (
@@ -254,9 +250,14 @@ class RailMonthRecord:
             raise ValueError("rail record components must be non-negative")
         if self.tx_settled > self.tx_count:
             raise ValueError("settled transactions cannot exceed attempted")
-        # The net is the revenue (acquiring, spread, routing) less the costs.
-        if self.net_inflow_cents != sum(components[3:6]) - sum(components[6:]):
-            raise ValueError("net inflow does not match its components")
+        # The net is the fee revenue less the costs: rebalancing, sats-back, variable.
+        costs = sum(components[6:])
+        object.__setattr__(self, "net_inflow_cents", self.fee_revenue_cents - costs)
+
+    @property
+    def fee_revenue_cents(self) -> int:
+        """Acquiring fees, hedge spread and routing fees: the rail's revenue."""
+        return self.acquiring_fee_cents + self.hedge_spread_cents + self.routing_fee_cents
 
     @property
     def success_rate(self) -> float:
@@ -264,37 +265,5 @@ class RailMonthRecord:
         return self.tx_settled / self.tx_count if self.tx_count else 1.0
 
 
-def month_rail_cashflow(
-    month: int,
-    gmv_cents: int,
-    tx_count: int,
-    tx_settled: int,
-    acquiring_fee_cents: int,
-    hedge_spread_cents: int,
-    routing_fee_cents: int,
-    rebalancing_cost_cents: int,
-    sats_back_cents: int,
-    variable_cost_cents: int,
-) -> RailMonthRecord:
-    """Assemble the month record; the net is revenue minus rail costs."""
-    net = (
-        acquiring_fee_cents
-        + hedge_spread_cents
-        + routing_fee_cents
-        - rebalancing_cost_cents
-        - sats_back_cents
-        - variable_cost_cents
-    )
-    return RailMonthRecord(
-        month=month,
-        gmv_cents=gmv_cents,
-        tx_count=tx_count,
-        tx_settled=tx_settled,
-        acquiring_fee_cents=acquiring_fee_cents,
-        hedge_spread_cents=hedge_spread_cents,
-        routing_fee_cents=routing_fee_cents,
-        rebalancing_cost_cents=rebalancing_cost_cents,
-        sats_back_cents=sats_back_cents,
-        variable_cost_cents=variable_cost_cents,
-        net_inflow_cents=net,
-    )
+# A month's record from its ten components, positional or by name.
+month_rail_cashflow = RailMonthRecord

@@ -42,10 +42,13 @@ def shown(value) -> str:
 def json_as(kind: type, value, key: str):
     """``value`` as ``kind``; ints pass as floats, integral numbers as ints.
 
-    Anything else is a ``ConfigError`` naming ``key``.
+    Anything else, or an integer past the float range (the run meets every
+    number with floats), is a ``ConfigError`` naming ``key``.
     """
+    if kind in (int, float) and type(value) is int and abs(value) > sys.float_info.max:
+        raise ConfigError(key, f"must be {_JSON_TYPES[kind]} in the float range (up to ~1.8e308)")
     if kind is float and type(value) is int:
-        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+        value = float(value)
     elif kind is int and type(value) is float and value.is_integer():
         value = int(value)
     if type(value) is not kind or (kind is float and not math.isfinite(value)):
@@ -156,7 +159,8 @@ class _Section:
             *({k.name, k.path_key} - {None} if k.name else k.kind.names for k in self.keys.values())
         )
         # Per field: its JSON name, the JSON type whose values pass as they
-        # are (not float, which must be finite), and the read of the rest.
+        # are (not float, which must be finite, and an int only in the float
+        # range), and the read of the rest.
         self.plan = tuple(
             (name, k.name, k.kind if k.kind in (bool, int, str, dict, list) else None, k.read)
             for name, k in self.keys.items()
@@ -170,9 +174,12 @@ class _Section:
         fields: dict = {}
         if ctx.fields is None:
             ctx.fields = fields
+        top = sys.float_info.max
         for name, json_name, exact, read in self.plan:
             value = raw.get(json_name, _REQUIRED)
-            fields[name] = value if type(value) is exact else read(raw, key, ctx)
+            if type(value) is not exact or exact is int and abs(value) > top:
+                value = read(raw, key, ctx)
+            fields[name] = value
         try:
             return self.make(**fields)
         except ConfigError as exc:

@@ -228,7 +228,7 @@ MALFORMED_CONFIGS = [
 BAD_SLEEVES = {
     "too-small": ([["pay1", 1.0], ["pay2", 1.0]], 10**15, None, "sleeve too small"),
     "duplicate-peer": ([["pay1", 1.0], ["pay1", 1.0]], 1_000, None, "duplicate channel"),
-    "id-collision": ([["pay1", 1.0]], 1_000, 0, "duplicate channel id 'sleeve-pay1'"),
+    "id-collision": ([["pay1", 1.0]], 1_000, 0, 'duplicate channel id "sleeve-pay1"'),
 }
 
 

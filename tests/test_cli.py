@@ -648,6 +648,77 @@ class TestDomainBounds:
         assert self._simulate(tmp_path, dotted, within) == 0
 
 
+# Integer keys that meet floats in the run; a value past the float range
+# would raise OverflowError there.
+FLOAT_RANGE_KEYS = [
+    "merchants.0.monthly_gmv_cents",
+    "treasury.cash0_cents",
+    "start_price_cents",
+    "rail.median_ticket_cents",
+]
+
+
+def _tiny_raw(dotted: str, value) -> dict:
+    raw = json.loads((GOLDEN / "rail_hub_tiny" / "config.json").read_text(encoding="utf-8"))
+    raw["rail"]["ticket_sigma"] = 0.0  # so the largest median has a finite mean ticket
+    return set_key(raw, dotted, value)
+
+
+class TestIntegersPastTheFloatRange:
+    """An integer key past the float range is refused when the config is
+    parsed, naming its key, by the library and the CLI; the largest integer
+    a float holds is accepted."""
+
+    @pytest.mark.parametrize("dotted", FLOAT_RANGE_KEYS)
+    def test_the_largest_float_integer_is_accepted(self, dotted):
+        config_from_dict(_tiny_raw(dotted, int(sys.float_info.max)))
+
+    @pytest.mark.parametrize(
+        "value", [int(sys.float_info.max) + 1, 10**400], ids=["max+1", "1e400"]
+    )
+    @pytest.mark.parametrize("dotted", FLOAT_RANGE_KEYS)
+    def test_one_past_it_is_refused_naming_the_key(self, dotted, value):
+        key = re.sub(r"\.(\d+)", r"[\1]", dotted)
+        with pytest.raises(engine.ConfigError) as exc:
+            config_from_dict(_tiny_raw(dotted, value))
+        assert exc.value.key == key
+        code, err = _simulate_raw(_tiny_raw(dotted, value))
+        assert code == 2
+        message = "must be an integer in the float range (up to ~1.8e308)"
+        assert err == f"error: invalid config: {key}: {message}\n"
+
+
+class TestLongSleeveErrors:
+    """A sleeve error shows its first rejected peer cut short and counts the
+    rest, so no line of stderr passes 200 characters."""
+
+    @staticmethod
+    def _refused(raw: dict) -> str:
+        code, err = _simulate_raw(raw)
+        assert code == 2 and "Traceback" not in err
+        assert max(map(len, err.splitlines())) <= 200, err[:300]
+        return err
+
+    def test_a_sleeve_too_small_for_300_peers(self):
+        raw = json.loads((GOLDEN / "rail_hub_tiny" / "config.json").read_text(encoding="utf-8"))
+        raw["treasury"]["btc_core_sats"] = 1_000
+        raw["sleeve_peers"] = [[f"p{i:03d}", 1.0] for i in range(300)]
+        assert self._refused(raw) == (
+            'error: invalid config: sleeve_peers: sleeve too small: peer "p000" and 299 more '
+            "would get less than 1000 msat\n"
+        )
+
+    def test_a_10kb_peer_whose_channel_id_a_spec_channel_has(self):
+        peer = "x" * 10_240
+        raw = json.loads((GOLDEN / "rail_hub_tiny" / "config.json").read_text(encoding="utf-8"))
+        raw["graph"]["channels"][0]["id"] = f"sleeve-{peer}"
+        raw["sleeve_peers"] = [[peer, 1.0]]
+        shown = json.dumps(f"sleeve-{peer}")[:60]
+        assert self._refused(raw) == (
+            f"error: invalid config: sleeve_peers: duplicate channel id {shown}\n"
+        )
+
+
 STRESS_MARKET = {"model": "stress", "kind": "linear", "total_drawdown": 0.5}
 TRIGGER = {"drawdown_threshold": 0.3, "shrink_target": 0.5}
 # The records' own range checks: (dotted key, a value past the range, a value

@@ -1,4 +1,5 @@
-"""Golden replays: each committed config reproduces its committed report bytes.
+"""Golden replays: each committed config reproduces its committed report bytes,
+and each committed report re-derives its nets, KPIs and verdicts from itself.
 
 For a fixed config and seed the report is the behaviour contract. Each case
 directory under ``tests/golden/`` holds a scenario ``config.json`` beside the
@@ -27,18 +28,24 @@ why::
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import platform
 from pathlib import Path
 
 import pytest
 
 from satsrail.engine import (
+    COVERAGE_ZERO_OPEX,
+    kpi_month,
     load_config_file,
     run_scenario,
     write_report_csv,
     write_report_json,
 )
+from satsrail.rail import RailMonthRecord
+from satsrail.treasury import no_forced_sale
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = (
@@ -84,6 +91,60 @@ def test_replay_matches_golden(case, tmp_path):
                 f"{platform.python_version()}.",
                 pytrace=False,
             )
+
+
+# A month record's ten components, the constructor's arguments in order.
+COMPONENTS = [f.name for f in dataclasses.fields(RailMonthRecord) if f.init]
+
+
+def kpi_row(record: RailMonthRecord, rebal_volume_cents: int, opex_cents: int, churn) -> dict:
+    """``kpi_month``'s row as a report carries it, infinite coverage as the sentinel."""
+    row = dataclasses.asdict(kpi_month(record, rebal_volume_cents, opex_cents, churn))
+    if math.isinf(row["opex_coverage_ratio"]):
+        row["opex_coverage_ratio"] = COVERAGE_ZERO_OPEX
+    return row
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_golden_report_re_derives_from_its_own_file(case):
+    # Only the file is read: each month's net from its fee stack, its KPIs
+    # from its components, each path's aggregate from the summed months and
+    # its verdict from the nets, the yield and the echoed outflows. The churn
+    # rates come from the roster, which the file does not hold.
+    report = json.loads((GOLDEN / case / "report.json").read_text(encoding="utf-8"))
+    treasury = report["config"]["treasury"]
+    opex = treasury["opex_monthly_cents"]
+    outflow = opex + treasury["interest_monthly_cents"] + treasury["capex_monthly_cents"]
+    for path in report["paths"]:
+        months = path["months"]
+        for month in months:
+            r = month["rail"]
+            revenue = r["acquiring_fee_cents"] + r["hedge_spread_cents"] + r["routing_fee_cents"]
+            costs = r["rebalancing_cost_cents"] + r["sats_back_cents"] + r["variable_cost_cents"]
+            assert r["net_inflow_cents"] == revenue - costs
+            record = RailMonthRecord(*(r[name] for name in COMPONENTS))
+            churn = month["kpi"]["merchant_churn_rate"]
+            assert month["kpi"] == kpi_row(record, month["rebal_volume_cents"], opex, churn)
+        summed = RailMonthRecord(*(sum(m["rail"][name] for m in months) for name in COMPONENTS))
+        aggregate = kpi_row(
+            summed,
+            sum(m["rebal_volume_cents"] for m in months),
+            opex * len(months),
+            path["kpi_aggregate"]["merchant_churn_rate"],
+        )
+        del aggregate["month"]
+        assert path["kpi_aggregate"] == aggregate
+        verdict = no_forced_sale(
+            treasury["cash0_cents"],
+            [m["rail"]["net_inflow_cents"] + m["yield_cents"] for m in months],
+            [outflow] * len(months),
+            treasury["survival_mode"],
+        )
+        assert dataclasses.asdict(verdict) == {
+            key: path[key]
+            for key in ("survives", "breach_month", "min_cash_cents", "terminal_cash_cents")
+        }
+    assert report["surviving_paths"] == sum(path["survives"] for path in report["paths"])
 
 
 def test_first_difference_names_the_line():
