@@ -95,7 +95,7 @@ class Channel:
 
     def __post_init__(self):
         if self.node_a == self.node_b:
-            raise ValueError(f"channel {shown(self.id)}: endpoints must differ")
+            raise ConfigError("b", f"must differ from a (channel {shown(self.id)})")
         if not 0 < self.capacity_msat <= MSAT_SUPPLY:
             raise ConfigError("capacity_msat", f"must be in [1, 2.1e18] (channel {shown(self.id)})")
         if not 0 <= self.balance_a_msat <= self.capacity_msat:

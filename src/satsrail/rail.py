@@ -38,8 +38,8 @@ class Merchant:
         if self.settle_mode not in SETTLE_MODES:
             raise ConfigError("settle_mode", f"must be one of {SETTLE_MODES}")
         check_bounds(self, 10_000, "take_rate_bps", "sats_back_bps")
-        if self.active and self.monthly_gmv_cents <= 0:
-            raise ValueError("active merchants need positive GMV")
+        if self.monthly_gmv_cents < 0 or self.active and self.monthly_gmv_cents == 0:
+            raise ConfigError("monthly_gmv_cents", "must be positive, or 0 for an inactive merchant")
 
 
 @dataclass(frozen=True)

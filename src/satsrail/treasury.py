@@ -281,8 +281,8 @@ class HoldingsRow:
     shares_outstanding: int | None = None
 
     def __post_init__(self):
-        if self.btc_held <= 0:
-            raise ValueError("btc_held must be positive")
+        if not 0 < self.btc_held < math.inf:
+            raise ValueError("btc_held must be positive and finite")
         if self.mkt_cap_cents < 0:
             raise ValueError("market cap must be non-negative")
         if self.shares_outstanding is not None and self.shares_outstanding <= 0:
@@ -316,6 +316,8 @@ def load_holdings_csv(path) -> list[HoldingsRow]:
             try:
                 btc = float(row[1])
                 cap_usd = float(row[2])
+                if not math.isfinite(cap_usd * 100):
+                    raise ValueError("mkt_cap_usd must be finite")
                 shares = int(row[3]) if row[3].strip() else None
                 rows.append(
                     HoldingsRow(

@@ -151,18 +151,11 @@ def _walk(obj, depth: int, out: list, active: set, bounded: bool) -> str:
         values = list(map(obj.__getitem__, keys))
     elif isinstance(obj, (list, tuple)):
         keys, values = None, obj
-        if obj and _is_record(obj[0]):
-            record = _record(type(obj[0]), depth + 1)
-            if record.fits(obj):
-                template = _container(depth, None, (record.template,) * len(obj), bounded)
-                out += itertools.chain.from_iterable(map(record.scalars, obj))
-                return template
-        elif obj and type(obj[0]) in _ROW_TYPES:
-            template = _fill_rows(obj, depth, out, bounded)
-            if template is not None:
-                return template
+        template = _fill_rows(obj, depth, out, bounded) if obj else None
+        if template is not None:
+            return template
     elif _is_record(obj):
-        keys = _record(type(obj), depth).keys
+        keys = _field_names(type(obj))
         values = [getattr(obj, key) for key in keys]
     elif type(obj) is CanonicalText:
         if bounded and len(obj.text) > _CACHED_CHARS:
@@ -225,73 +218,46 @@ def _layout(depth: int, keys: tuple[str, ...] | None, items: tuple[str, ...]) ->
 
 
 _cached_layout = functools.lru_cache(maxsize=_SHAPES)(_layout)
-
-
-class _Record:
-    """How one dataclass is encoded at one depth.
-
-    ``keys`` are its field names, sorted. A record is *fixed* when each
-    field is annotated with a scalar type or a fixed record and it has two
-    scalars or more. A fixed record has a ``template``; ``names`` are its
-    scalars' dotted attribute names in template order, and ``checks`` the
-    dotted ``__class__`` names of the record and its nested records, which
-    must read ``classes`` for the template to fit. Other records are walked
-    field by field.
-    """
-
-    __slots__ = ("keys", "template", "names", "checks", "classes", "scalars", "classes_of", "expected")
-
-    def __init__(self, keys, template=None, names=(), checks=(), classes=()):
-        self.keys, self.template = keys, template
-        self.names, self.checks, self.classes = names, checks, classes
-        if template is not None:
-            self.scalars = operator.attrgetter(*names)
-            self.classes_of = operator.attrgetter(*checks)
-            # attrgetter gives a tuple for two or more names, else the value.
-            self.expected = classes[0] if len(classes) == 1 else classes
-
-    def fits(self, records) -> bool:
-        """Whether ``records`` are all fixed records that fit the template."""
-        if self.template is None:
-            return False
-        try:
-            return set(map(self.classes_of, records)) == {self.expected}
-        except AttributeError:  # an item that is not a record of this class
-            return False
-
-
-@functools.lru_cache(maxsize=_SHAPES)
-def _record(cls: type, depth: int) -> _Record:
-    keys = tuple(sorted(f.name for f in dataclasses.fields(cls)))
-    hints = typing.get_type_hints(cls)
-    items, names, checks, classes = [], [], ["__class__"], [cls]
-    for key in keys:
-        if hints[key] in _SCALARS:
-            items.append("%s")
-            names.append(key)
-            continue
-        inner = _record(hints[key], depth + 1) if dataclasses.is_dataclass(hints[key]) else None
-        if inner is None or inner.template is None:
-            return _Record(keys)
-        items.append(inner.template)
-        names += (f"{key}.{name}" for name in inner.names)
-        checks += (f"{key}.{check}" for check in inner.checks)
-        classes += inner.classes
-    if len(names) < 2:
-        return _Record(keys)
-    template = _container(depth, keys, tuple(items))
-    return _Record(keys, template, tuple(names), tuple(checks), tuple(classes))
-
-
 _ROW_TYPES = frozenset((dict, list, tuple))
 _chain = itertools.chain.from_iterable
 
 
+@functools.lru_cache(maxsize=_SHAPES)
+def _field_names(cls: type) -> tuple[str, ...]:
+    """A record class's field names, sorted: its keys."""
+    return tuple(sorted(f.name for f in dataclasses.fields(cls)))
+
+
+@functools.lru_cache(maxsize=_SHAPES)
+def _class_shape(cls: type, enclosing: tuple = ()):
+    """The shape of every record of ``cls``, from its annotations: ``cls``,
+    its field names and their shapes. None unless each field is annotated
+    with a scalar type or a record class that has a shape; a class whose
+    annotations do not resolve, or that holds itself (``enclosing``), has
+    none, and its records are walked value by value.
+    """
+    try:
+        hints = typing.get_type_hints(cls)
+    except NameError:
+        return None
+    enclosing += (cls,)
+    shapes = []
+    for key in _field_names(cls):
+        hint = hints[key]
+        record = dataclasses.is_dataclass(hint) and hint not in enclosing
+        shape = () if hint in _SCALARS else _class_shape(hint, enclosing) if record else None
+        if shape is None:
+            return None
+        shapes.append(shape)
+    return cls, _field_names(cls), tuple(shapes)
+
+
 def _shape(obj, active: set):
-    """``obj``'s shape: ``()`` for a scalar, and for a dict or list its type,
-    its sorted keys (a list's length) and its values' shapes. None when it
-    holds anything else: a record, a non-string key, or itself (``active``
-    holds the ids of the enclosing containers).
+    """``obj``'s shape: ``()`` for a scalar; for a dict or list its type, its
+    sorted keys (a list's length) and its values' shapes; for a record its
+    class's shape (``_class_shape``). None when it holds anything else: a
+    non-string key, or itself (``active`` holds the ids of the enclosing
+    containers).
     """
     kind = type(obj)
     if kind in _SCALARS:
@@ -302,7 +268,7 @@ def _shape(obj, active: set):
     elif kind is list or kind is tuple:
         keys, values = len(obj), obj
     else:
-        return None
+        return _class_shape(kind) if _is_record(obj) else None
     if id(obj) in active:
         return None
     active.add(id(obj))
@@ -320,9 +286,11 @@ class _Rows:
     """How a list of rows of one shape is encoded, each row at one depth.
 
     ``containers`` are the row and its nested containers, parents first,
-    each as ``(parent's index or None, getter from the parent, type,
-    size)``. ``runs`` are the runs of consecutive scalars in template order,
-    each as ``(its container's index, getter, whether it gets several)``.
+    each as ``(parent's index or None, getter from the parent, type, size
+    or None for a record)``. ``runs`` are the runs of consecutive scalars
+    in template order, each as ``(its container's index, getter, whether
+    it gets several)``. A getter reads a record's fields by ``attrgetter``,
+    and a dict's keys or a list's indexes by ``itemgetter``.
     """
 
     __slots__ = ("template", "containers", "runs")
@@ -338,25 +306,26 @@ def _rows(shape: tuple, depth: int) -> _Rows | None:
     containers: list = []
     runs: list = []
 
-    def visit(shape, parent, key, depth) -> str:
+    def visit(shape, parent, get, depth) -> str:
         kind, keys, shapes = shape
         index = len(containers)
-        get = None if parent is None else operator.itemgetter(key)
-        containers.append((parent, get, kind, len(shapes)))
-        names = keys if kind is dict else range(keys)
+        plain = kind in _ROW_TYPES
+        containers.append((parent, get, kind, len(shapes) if plain else None))
+        getter = operator.itemgetter if plain else operator.attrgetter
+        array = kind is list or kind is tuple
         items, run = [], []
-        for name, inner in zip(names, shapes):
+        for name, inner in zip(range(keys) if array else keys, shapes):
             if inner == ():
                 items.append("%s")
                 run.append(name)
                 continue
             if run:
-                runs.append((index, operator.itemgetter(*run), len(run) > 1))
+                runs.append((index, getter(*run), len(run) > 1))
                 run = []
-            items.append(visit(inner, index, name, depth + 1))
+            items.append(visit(inner, index, getter(name), depth + 1))
         if run:
-            runs.append((index, operator.itemgetter(*run), len(run) > 1))
-        return _container(depth, keys if kind is dict else None, tuple(items))
+            runs.append((index, getter(*run), len(run) > 1))
+        return _container(depth, None if array else keys, tuple(items))
 
     template = visit(shape, None, None, depth)
     if len(template) > _CACHED_CHARS:
@@ -369,13 +338,15 @@ def _fill_rows(rows, depth: int, out: list, bounded: bool = False) -> str | None
     to ``out``, when every row has the first row's shape; else None, and
     ``out`` is untouched. ``bounded`` is as for ``_walk``.
 
-    Each container of the shape is checked as a column over all rows (its
-    type and size, and its keys through the getters), and each run of
-    scalars is gathered as a column; the scalars are then interleaved row
-    by row.
+    Each container of the shape is checked as a column over all rows: its
+    type, and for a dict or list its size and its keys through the
+    getters; a record's class fixes its fields. Each run of scalars is
+    gathered as a column; the scalars are then interleaved row by row.
+    Record rows are trusted to hold scalars where their annotations say
+    so, and ``fill_layout`` refuses a container among them.
     """
     shape = _shape(rows[0], set())
-    plan = None if shape is None else _rows(shape, depth + 1)
+    plan = _rows(shape, depth + 1) if shape else None
     if plan is None:
         return None
     if bounded and len(plan.template) * len(rows) > _CACHED_CHARS:
@@ -384,7 +355,9 @@ def _fill_rows(rows, depth: int, out: list, bounded: bool = False) -> str | None
     try:
         for parent, get, kind, size in plan.containers:
             column = rows if get is None else list(map(get, columns[parent]))
-            if set(map(type, column)) != {kind} or set(map(len, column)) != {size}:
+            if set(map(type, column)) != {kind}:
+                return None
+            if size is not None and set(map(len, column)) != {size}:
                 return None
             columns.append(column)
         gathered = [
@@ -394,7 +367,7 @@ def _fill_rows(rows, depth: int, out: list, bounded: bool = False) -> str | None
         values = list(_chain(_chain(zip(*gathered))))
     except KeyError:  # a dict row without one of the first row's keys
         return None
-    if not _SCALARS.issuperset(map(type, values)):
+    if type(rows[0]) in _ROW_TYPES and not _SCALARS.issuperset(map(type, values)):
         return None
     out += values
     return _container(depth, None, (plan.template,) * len(rows))
@@ -458,7 +431,7 @@ def _split(obj, depth: int, write: Callable, active: set) -> None:
     elif isinstance(obj, tuple):  # a whole tuple's slice is the tuple itself
         keys, values = None, list(obj)
     else:  # a record
-        keys = _record(type(obj), depth).keys
+        keys = _field_names(type(obj))
         values = [getattr(obj, key) for key in keys]
     active.add(id(obj))
     brackets = "[]" if keys is None else "{}"

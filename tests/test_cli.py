@@ -295,6 +295,26 @@ class TestMnav:
         assert main(["mnav", "--holdings", str(p), "--price", "110300"]) == 1
         assert "row 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "btc, cap",
+        [("nan", "1000"), ("inf", "1000"), ("-inf", "1000"), ("10", "inf"), ("10", "1e400")]
+        + [("10", "nan"), ("10", "-inf"), ("10", "1.7e308")],
+    )
+    def test_a_non_finite_number_is_refused_naming_its_row(self, tmp_path, capsys, btc, cap):
+        p = tmp_path / "h.csv"
+        p.write_text(
+            "ticker,btc_held,mkt_cap_usd,shares_outstanding\n"
+            f"EQ,100,11030000,\nBAD,{btc},{cap},\n"
+        )
+        out = tmp_path / "mnav.csv"
+        argv = ["mnav", "--holdings", str(p), "--price", "110300", "--csv", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "row 2 (BAD)" in captured.err and "finite" in captured.err
+        assert not out.exists()
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "mnav.csv"
         main(
@@ -723,6 +743,7 @@ STRESS_MARKET = {"model": "stress", "kind": "linear", "total_drawdown": 0.5}
 TRIGGER = {"drawdown_threshold": 0.3, "shrink_target": 0.5}
 # The records' own range checks: (dotted key, a value past the range, a value
 # at its edge or None, the message, sections set first).
+GMV_MESSAGE = "must be positive, or 0 for an inactive merchant"
 RANGE_ERRORS = [
     ("market.sigma", -0.1, 0.0, "must be non-negative", {}),
     ("market.horizon_months", 0, None, "must be at least one month", {}),
@@ -737,6 +758,9 @@ RANGE_ERRORS = [
     ("hub_fee_policy.base_msat", -1, 0, "must be non-negative", {}),
     ("hub_fee_policy.ppm", -1, 0, "must be non-negative", {}),
     ("graph.channels.0.policy_ab.ppm", -1, 0, "must be non-negative", {}),
+    ("merchants.0.monthly_gmv_cents", 0, 1, GMV_MESSAGE, {}),
+    ("merchants.0.monthly_gmv_cents", -1, None, GMV_MESSAGE, {}),
+    ("graph.channels.0.b", "payer00", "hub", 'must differ from a (channel "spec-payer00")', {}),
 ]
 
 
@@ -768,6 +792,15 @@ class TestRangeErrors:
     )
     def test_the_edge_runs(self, dotted, _, edge, __, sections, tmp_path):
         assert self._simulate(tmp_path, dotted, edge, sections) == 0
+
+    @pytest.mark.parametrize("gmv, code", [(-1, 2), (0, 0)])
+    def test_an_inactive_merchant_may_have_no_gmv_but_not_less(self, gmv, code, tmp_path, capsys):
+        raw = json.loads((GOLDEN / "rail_hub_tiny" / "config.json").read_text(encoding="utf-8"))
+        raw["merchants"][0]["active"] = False
+        sections = {"merchants": raw["merchants"]}
+        assert self._simulate(tmp_path, "merchants.0.monthly_gmv_cents", gmv, sections) == code
+        error = f"error: invalid config: merchants[0].monthly_gmv_cents: {GMV_MESSAGE}\n"
+        assert capsys.readouterr().err == (error if code else "")
 
 
 class TestNotANumber:

@@ -56,6 +56,7 @@ from satsrail.rail import Merchant, month_rail_cashflow
 from satsrail.treasury import TreasuryConfig, VarCheck
 from satsrail.treasury import no_forced_sale
 from satsrail.util import canonical_json
+from test_util import piece_bound
 
 START_PRICE = 10_000_000  # $100,000/BTC
 
@@ -1086,10 +1087,18 @@ class TestPathEncoding:
         monkeypatch.setattr(json.encoder, "c_make_encoder", None)
         assert engine_paths_json(paths) == stdlib_paths_json(paths)
 
-    @given(st.one_of(FINITE_MONTHS, FINITE_PATHS))
+    @given(st.one_of(FINITE_MONTHS, FINITE_PATHS, st.lists(FINITE_MONTHS, max_size=30)))
     @settings(max_examples=150, deadline=None)
     def test_a_record_reads_as_its_asdict(self, record):
-        assert canonical_json(record) == stdlib_canonical_json(dataclasses.asdict(record))
+        if isinstance(record, list):
+            expected = stdlib_canonical_json(list(map(dataclasses.asdict, record)))
+        else:
+            expected = stdlib_canonical_json(dataclasses.asdict(record))
+        assert canonical_json(record) == expected
+        pieces: list[str] = []
+        with piece_bound(4_000):  # a list of months goes in runs of a few
+            canonical_json(record, pieces.append)
+        assert "".join(pieces) == expected
 
     @pytest.mark.parametrize("field", ["drawdown", "kpi", "kpi_aggregate"])
     def test_nan_raises_value_error_in_both_encoders(self, field):
@@ -1123,6 +1132,11 @@ class TestPathEncoding:
             (lambda p: with_month(p, var={}), True),
             (lambda p: with_month(p, var=None), True),
             (lambda p: with_month(p, var=p.months[0].kpi), True),
+            (lambda p: with_month(p, -1, drawdown=(1,)), True),
+            (lambda p: with_month(p, -1, drawdown=[math.inf, {"k": ()}]), True),
+            (lambda p: with_month(p, -1, var={}), True),
+            (lambda p: with_month(p, -1, var=None), True),
+            (lambda p: with_month(p, -1, var=p.months[0].kpi), True),
         ],
         ids=[
             "one-tuple",
@@ -1136,6 +1150,11 @@ class TestPathEncoding:
             "month-dict-record",
             "month-null-record",
             "month-other-record",
+            "last-month-one-tuple",
+            "last-month-nested-list",
+            "last-month-dict-record",
+            "last-month-null-record",
+            "last-month-other-record",
         ],
     )
     def test_a_path_that_does_not_fit_its_template_raises(self, misfit, may_raise):
@@ -1153,10 +1172,11 @@ class TestPathEncoding:
             assert text == expected
 
 
-def with_month(path: PathResult, **edits) -> PathResult:
-    """``path`` with its first month's fields edited."""
-    month = dataclasses.replace(path.months[0], **edits)
-    return dataclasses.replace(path, months=(month, *path.months[1:]))
+def with_month(path: PathResult, at: int = 0, **edits) -> PathResult:
+    """``path`` with the fields of its month at index ``at`` edited."""
+    months = list(path.months)
+    months[at] = dataclasses.replace(months[at], **edits)
+    return dataclasses.replace(path, months=tuple(months))
 
 
 def with_aggregate(path: PathResult, **edits) -> PathResult:

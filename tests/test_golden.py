@@ -32,6 +32,9 @@ import dataclasses
 import json
 import math
 import platform
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,6 +153,19 @@ def test_golden_report_re_derives_from_its_own_file(case):
 def test_first_difference_names_the_line():
     assert first_difference(b"a\nb\nc\n", b"a\nx\nc\n") == "line 2: expected 'b', got 'x'"
     assert first_difference(b"a\nb\n", b"a\n") == "line 2: 2 lines expected, 1 written"
+
+
+def test_report_hashes_prints_the_same_fingerprints_twice():
+    # tests/report_hashes.py is the byte check between two checkouts.
+    argv = [sys.executable, str(Path(__file__).parent / "report_hashes.py")]
+    argv += ["--size", "tiny", "--seeds", "31"]
+    runs = [subprocess.run(argv, capture_output=True, text=True, check=True).stdout for _ in "ab"]
+    assert runs[0] == runs[1]
+    entries = json.loads(runs[0])
+    assert sorted(entries) == ["many_paths-31", "mesh_stress-31", "rail_hub-31"]
+    for entry in entries.values():
+        assert sorted(entry) == ["reconciliation_hash", "report.csv", "report.json"]
+        assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in entry.values())
 
 
 def regenerate() -> None:

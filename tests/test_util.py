@@ -1,5 +1,7 @@
 """``canonical_json`` against the stdlib formula it must reproduce byte for byte."""
 
+from __future__ import annotations
+
 import contextlib
 import dataclasses
 import json
@@ -307,7 +309,7 @@ def piece_bound(chars: int):
     The caches of plans and layouts hold what the bound decided; they are
     emptied on the way in and out, so no other test sees them.
     """
-    caches = (util._rows, util._record, util._cached_layout)
+    caches = (util._rows, util._class_shape, util._field_names, util._cached_layout)
     saved = util._CACHED_CHARS
     for cache in caches:
         cache.cache_clear()
@@ -322,7 +324,7 @@ def piece_bound(chars: int):
 
 @dataclasses.dataclass
 class Point:
-    """A fixed record: its fields are scalars."""
+    """A record with a class shape: its fields are annotated as scalars."""
 
     x: int
     y: float
@@ -335,6 +337,49 @@ class Box:
 
     name: str
     items: list
+
+
+@dataclasses.dataclass
+class Node:
+    """A record whose annotation names its own class: it has no class shape."""
+
+    value: int
+    nxt: Node
+
+
+def local_records() -> list:
+    """Records of a class defined in a function, annotated with another
+    local class: in a module with postponed annotations they do not resolve."""
+
+    @dataclasses.dataclass
+    class Leaf:
+        v: int
+        w: float
+
+    @dataclasses.dataclass
+    class Holder:
+        name: str
+        leaf: Leaf
+
+    return [Holder(f"h{i}", Leaf(i, i / 2)) for i in range(3)]
+
+
+UNSHAPED = {
+    "local-classes": local_records,
+    "self-annotated": lambda: [Node(1, None), Node(2, Node(3, None)), Node(4, None)],
+}
+
+
+@pytest.mark.parametrize("bound", [40, 1 << 16])
+@pytest.mark.parametrize("make", UNSHAPED.values(), ids=UNSHAPED.keys())
+def test_records_without_a_class_shape_read_as_their_asdict(make, bound):
+    records = make()
+    plain = list(map(dataclasses.asdict, records))
+    for value, as_dict in ((records[0], plain[0]), (records, plain)):
+        expected = stdlib_canonical_json(as_dict)
+        with piece_bound(bound):
+            assert canonical_json(value) == expected
+            assert "".join(pieces_of(value)) == expected
 
 
 def _wrap(pair):
