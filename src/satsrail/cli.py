@@ -4,22 +4,20 @@ Subcommands: ``simulate`` (scenario Monte Carlo), ``stress`` (single
 deterministic bear path), ``mnav`` (holdings analytics table), ``route``
 (route debugging), ``corr`` (price-series correlation).
 
-Exit codes: 0 success, 1 domain or file error (no route, bad data file, no
-date overlap; a data file that cannot be read as UTF-8 text, or an output
-file that cannot be written, as ``error: <path>: ...``), 2 usage error (bad
-flags, an output naming the ``--config`` or ``--holdings`` file or the
-other output, a ``--seed`` outside ``[-2**127, 2**127)``, invalid config).
-The data files are the ``mnav``, ``corr`` and ``route`` inputs. A config
-file, or its ``graph_path`` / ``merchants_path`` file, that cannot be read
-as UTF-8 JSON is an invalid config: ``error: invalid config: <path>: ...``;
-so is any key its schema rejects, graph spec included, as
-``error: invalid config: <key>: ...``, where a channel's own rejects name
-``graph.channels[i]`` and the graph's the key they concern, such as
-``graph.hub`` or ``graph.channels[i].a``. Output paths are
-checked before a scenario runs or a table prints, so a command that fails
-on one leaves no output. Relative config paths not found locally are also
-tried under ``$SATSRAIL_CONFIG_DIR``; an output is compared with the config
-file that lookup finds.
+Exit codes, mapped in ``main`` alone: 0 success; 1 no route, an output
+file that cannot be written, or a data file (an ``mnav``, ``corr`` or
+``route`` input) that cannot be used, as ``error: <path>: ...``, or as
+``error: graph: ...`` for a route graph's content; 2 usage error (bad
+flags, an output naming an input or the other output, a route between
+unknown or equal nodes) or invalid config, as ``error: invalid config:
+<key>: ...``, the key being the config file's path when it cannot be read.
+Every file is read as UTF-8, and a byte that is not is named by its offset
+in the file; a CSV field over 131,072 characters, or JSON nested past the
+recursion limit, is a malformed file. Output paths are checked before a
+scenario runs or a table prints, so a command that fails leaves no output.
+Relative config paths not found locally are also tried under
+``$SATSRAIL_CONFIG_DIR``; an output is compared with the config file that
+lookup finds.
 """
 
 from __future__ import annotations
@@ -39,24 +37,12 @@ from .engine import (
     write_report_csv,
     write_report_json,
 )
-from .lightning import (
-    FeeCapExceededError,
-    NoRouteError,
-    find_route,
-    load_graph_file,
-)
-from .market import (
-    PriceCsvError,
-    ConstantSeriesError,
-    inner_join,
-    load_price_csv,
-    pearson_corr,
-    to_returns,
-)
+from .lightning import FeeCapExceededError, NoRouteError, find_route, load_graph_file
+from .market import inner_join, load_price_csv, pearson_corr, to_returns
 from .money import MSAT_PER_SAT
 from .rng import SEED_RANGE
-from .treasury import HoldingsCsvError, btc_per_share, load_holdings_csv, mnav
-from .schema import _read_json
+from .schema import DataFileError, _read_json
+from .treasury import btc_per_share, load_holdings_csv, mnav
 
 CONFIG_DIR_ENV = "SATSRAIL_CONFIG_DIR"
 
@@ -71,15 +57,6 @@ def _resolve_config(path_str: str) -> Path:
         if candidate.exists():
             return candidate
     return path
-
-
-def _load(loader, path):
-    """``loader(path)``; a file that is not UTF-8 text is an OSError naming it."""
-    try:
-        return loader(path)
-    except UnicodeDecodeError as exc:
-        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
-        raise OSError(None, reason, path) from None
 
 
 def _check_writable(*paths) -> None:
@@ -296,13 +273,8 @@ def _table_row(cells: list[str]) -> str:
 
 
 def cmd_mnav(args) -> int:
-    try:
-        rows = _load(load_holdings_csv, args.holdings)
-    except HoldingsCsvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    rows = sorted(load_holdings_csv(args.holdings), key=lambda r: -r.btc_held)
     _check_writable(args.csv)
-    rows = sorted(rows, key=lambda r: -r.btc_held)
     print(MNAV_HEADER)
     csv_lines = ["ticker,btc_held,mkt_cap_usd,mnav,btc_per_share"]
     for row in rows:
@@ -337,10 +309,9 @@ def cmd_mnav(args) -> int:
 
 def cmd_route(args) -> int:
     try:
-        graph = _load(load_graph_file, args.graph)
-    except ValueError as exc:  # malformed content; file errors reach main
-        print(f"error: graph: {exc}", file=sys.stderr)
-        return 1
+        graph = load_graph_file(args.graph)
+    except ValueError as exc:  # malformed content, config errors included
+        raise DataFileError(f"graph: {exc}") from None
     if args.src not in graph.nodes or args.dst not in graph.nodes:
         print("error: unknown node", file=sys.stderr)
         return 2
@@ -349,14 +320,7 @@ def cmd_route(args) -> int:
         return 2
     amount_msat = args.amount_sats * MSAT_PER_SAT
     max_fee = None if args.max_fee_sats is None else args.max_fee_sats * MSAT_PER_SAT
-    try:
-        route = find_route(graph, args.src, args.dst, amount_msat, max_fee)
-    except NoRouteError:
-        print("no route")
-        return 1
-    except FeeCapExceededError as exc:
-        print(f"no route within fee cap: {exc}")
-        return 1
+    route = find_route(graph, args.src, args.dst, amount_msat, max_fee)
     print(
         f"route: {len(route.hops)} hop{'s' if len(route.hops) != 1 else ''}, "
         f"total fee {route.total_fee_msat} msat"
@@ -370,24 +334,14 @@ def cmd_route(args) -> int:
 
 
 def cmd_corr(args) -> int:
-    try:
-        series_a = _load(load_price_csv, args.a)
-        series_b = _load(load_price_csv, args.b)
-    except PriceCsvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    xs, ys = inner_join(series_a, series_b)
+    xs, ys = inner_join(load_price_csv(args.a), load_price_csv(args.b))
     if len(xs) < 2:
-        print("error: fewer than two overlapping dates", file=sys.stderr)
-        return 1
+        raise DataFileError("fewer than two overlapping dates")
     if args.returns:
         xs, ys = to_returns(xs), to_returns(ys)
-    try:
-        r = pearson_corr(xs, ys)
-    except ConstantSeriesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"{r:.5f}")
+        if not all(map(math.isfinite, xs + ys)):
+            raise DataFileError("a return is past the float range")
+    print(f"{pearson_corr(xs, ys):.5f}")
     return 0
 
 
@@ -409,8 +363,17 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
+    except DataFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:  # an input or output file
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
+    except FeeCapExceededError as exc:  # route's answers, on stdout
+        print(f"no route within fee cap: {exc}")
+        return 1
+    except NoRouteError:
+        print("no route")
         return 1
 
 

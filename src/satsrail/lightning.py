@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from .money import MSAT_SUPPLY
-from .schema import ConfigError, _Ctx, _Key, _List, _Section, shown
+from .schema import ConfigError, _Ctx, _Key, _List, _Section, load_json, shown
 from .util import (
     apportion_largest_remainder,
     canonical_json,  # unused here; bench/tracer.py wraps lightning.canonical_json
@@ -467,8 +466,7 @@ def build_graph(spec, key: str = "") -> ChannelGraph:
 
 
 def load_graph_file(path) -> ChannelGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return build_graph(json.load(fh))
+    return build_graph(load_json(path))
 
 
 # --------------------------------------------------------------------------

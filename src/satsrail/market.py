@@ -18,17 +18,17 @@ if TYPE_CHECKING:  # imported where a file is read: only the corr command needs 
 
 from .money import round_half_up
 from .rng import stream
-from .schema import ConfigError
+from .schema import ConfigError, DataFileError, csv_rows
 
 MONTHS_PER_YEAR = 12
 STRESS_KINDS = ("linear", "exponential")
 
 
-class ConstantSeriesError(ValueError):
+class ConstantSeriesError(DataFileError):
     """Correlation is undefined when a series has zero variance."""
 
 
-class PriceCsvError(ValueError):
+class PriceCsvError(DataFileError):
     """Malformed price CSV; message names the offending row."""
 
 
@@ -129,6 +129,9 @@ def pearson_corr(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValueError("series lengths differ")
     if n < 2:
         raise ValueError("need at least two observations")
+    # r is scale-free: at magnitude <= 1 no square overflows or underflows.
+    sx, sy = (max(map(abs, s)) or 1.0 for s in (xs, ys))
+    xs, ys = [x / sx for x in xs], [y / sy for y in ys]
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
     cov = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
@@ -167,47 +170,27 @@ def load_price_csv(path) -> PriceSeries:
     Errors mention the 1-based data row number. Duplicate or out-of-order
     dates are rejected.
     """
-    import csv
     import datetime
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    dates: list[datetime.date] = []
+    prices: list[float] = []
+    for row_no, (date_text, price_text) in csv_rows(path, ("date", "price"), PriceCsvError):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise PriceCsvError(f"{path}: empty file") from None
-        if [c.strip() for c in header] != ["date", "price"]:
-            raise PriceCsvError(f"{path}: header must be 'date,price'")
-        dates: list[datetime.date] = []
-        prices: list[float] = []
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise PriceCsvError(f"{path}: row {row_no}: expected 2 fields")
-            try:
-                day = datetime.date.fromisoformat(row[0].strip())
-            except ValueError:
-                raise PriceCsvError(
-                    f"{path}: row {row_no}: bad ISO date {row[0]!r}"
-                ) from None
-            try:
-                price = float(row[1])
-            except ValueError:
-                raise PriceCsvError(
-                    f"{path}: row {row_no}: bad price {row[1]!r}"
-                ) from None
-            if not math.isfinite(price) or price <= 0:
-                raise PriceCsvError(f"{path}: row {row_no}: price must be positive")
-            if dates:
-                if day == dates[-1]:
-                    raise PriceCsvError(f"{path}: row {row_no}: duplicate date {day}")
-                if day < dates[-1]:
-                    raise PriceCsvError(
-                        f"{path}: row {row_no}: dates must be ascending"
-                    )
-            dates.append(day)
-            prices.append(price)
+            day = datetime.date.fromisoformat(date_text.strip())
+        except ValueError:
+            raise PriceCsvError(f"{path}: row {row_no}: bad ISO date {date_text!r}") from None
+        try:
+            price = float(price_text)
+        except ValueError:
+            raise PriceCsvError(f"{path}: row {row_no}: bad price {price_text!r}") from None
+        if not math.isfinite(price) or price <= 0:
+            raise PriceCsvError(f"{path}: row {row_no}: price must be positive")
+        if dates and day == dates[-1]:
+            raise PriceCsvError(f"{path}: row {row_no}: duplicate date {day}")
+        if dates and day < dates[-1]:
+            raise PriceCsvError(f"{path}: row {row_no}: dates must be ascending")
+        dates.append(day)
+        prices.append(price)
     return PriceSeries(tuple(dates), tuple(prices))
 
 

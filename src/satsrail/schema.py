@@ -1,9 +1,16 @@
-"""The config schema: the dataclasses declare the keys, and overrides the
-exceptions. A config error names the dotted JSON key it is about."""
+"""Outside input: the config schema, and one reader per file format.
+
+The config's dataclasses declare its keys, and overrides the exceptions; a
+config error names the dotted JSON key it is about. A file is read whole
+and decoded once, so a byte that is not UTF-8 is named by its offset in the
+file; JSON nested past the recursion limit is not valid JSON; a CSV row the
+``csv`` module refuses, such as one with a field over 131,072 characters,
+is a ``DataFileError`` naming the file and the row."""
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -22,6 +29,51 @@ class ConfigError(ValueError):
         super().__init__(f"{key}: {message}" if key else message)
 
 
+class DataFileError(ValueError):
+    """Data from a file that a command cannot use; exit 1 in the CLI."""
+
+
+def read_text(path) -> str:
+    """The file at ``path`` as UTF-8 text; a byte that is not UTF-8 is an
+    ``OSError`` naming the file and the byte's offset in the file."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+        raise OSError(None, reason, path) from None
+
+
+def load_json(path):
+    """The JSON value in the file at ``path``; text that is not JSON, nested
+    past the recursion limit included, is a ``ValueError``."""
+    try:
+        return json.loads(read_text(path))
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+
+
+def csv_rows(path, header: tuple[str, ...], error: type[DataFileError]):
+    """Each data row of the CSV file at ``path`` with its 1-based number,
+    blank rows skipped. An empty file, a first row other than ``header``, a
+    row without one field per header name, or a row the ``csv`` module
+    refuses is an ``error`` naming the file and the row (the header is 0)."""
+    import csv  # only the commands that read data files need it
+
+    number = -1
+    try:
+        for number, row in enumerate(csv.reader(io.StringIO(read_text(path), newline=""))):
+            if number == 0 and tuple(c.strip() for c in row) != header:
+                raise error(f"{path}: header must be {','.join(header)}")
+            if number and any(c.strip() for c in row):
+                if len(row) != len(header):
+                    raise error(f"{path}: row {number}: expected {len(header)} fields")
+                yield number, row
+    except csv.Error as exc:
+        raise error(f"{path}: row {number + 1}: {exc}") from None
+    if number < 0:
+        raise error(f"{path}: empty file")
+
+
 def check_bounds(record, high: int, *names: str) -> None:
     """Refuse a field of ``record`` outside [0, ``high``], naming its key."""
     for name in names:
@@ -36,7 +88,10 @@ _JSON_TYPES.update({bool: "true or false", dict: "an object", list: "a list"})
 def shown(value) -> str:
     """``value`` as an error message shows it: its JSON text, cut to 60
     characters, so that a 10 KB id makes no 10 KB line."""
-    return json.dumps(value, default=repr)[:60]
+    try:
+        return json.dumps(value, default=repr)[:60]
+    except RecursionError:  # JSON that loaded just under the recursion limit
+        return f"a {type(value).__name__} nested too deeply"
 
 
 def json_as(kind: type, value, key: str):
@@ -66,8 +121,7 @@ def _join(parent: str, name: str) -> str:
 def _read_json(path, key: str):
     """Load a JSON file; an unreadable or malformed one is a ConfigError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return load_json(path)
     except OSError as exc:
         raise ConfigError(key, f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:

@@ -18,17 +18,18 @@ price, rounded up to whole sats. Sales are recorded, never executed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .money import MSAT_PER_SAT, MSAT_SUPPLY, SATS_PER_BTC
 from .rng import normal_quantile
-from .schema import ConfigError
+from .schema import ConfigError, DataFileError, csv_rows, shown
 from .util import decimal_fraction
 
 SURVIVAL_MODES = ("terminal", "pathwise")
 
 
-class HoldingsCsvError(ValueError):
+class HoldingsCsvError(DataFileError):
     """Malformed holdings CSV; message names the offending row."""
 
 
@@ -138,8 +139,8 @@ def _book(
 
 def mnav(mkt_cap_cents: int, btc_held: float, price_cents_per_btc: int) -> float:
     """Market cap over the market value of BTC held (other assets ignored)."""
-    if btc_held <= 0:
-        raise ValueError("btc_held must be positive")
+    if not 0 < btc_held < math.inf:
+        raise ValueError("btc_held must be positive and finite")
     if price_cents_per_btc <= 0:
         raise ValueError("price must be positive")
     if mkt_cap_cents < 0:
@@ -148,6 +149,8 @@ def mnav(mkt_cap_cents: int, btc_held: float, price_cents_per_btc: int) -> float
 
 
 def btc_per_share(btc_held: float, shares_outstanding: int) -> float:
+    if not 0 < btc_held < math.inf:
+        raise ValueError("btc_held must be positive and finite")
     if shares_outstanding <= 0:
         raise ValueError("shares_outstanding must be positive")
     return btc_held / shares_outstanding
@@ -287,6 +290,8 @@ class HoldingsRow:
             raise ValueError("market cap must be non-negative")
         if self.shares_outstanding is not None and self.shares_outstanding <= 0:
             raise ValueError("shares_outstanding must be positive when given")
+        if self.shares_outstanding is not None and self.shares_outstanding > sys.float_info.max:
+            raise ValueError("shares_outstanding must be in the float range (up to ~1.8e308)")
 
 
 def load_holdings_csv(path) -> list[HoldingsRow]:
@@ -295,38 +300,17 @@ def load_holdings_csv(path) -> list[HoldingsRow]:
     Market caps are whole USD in the file and stored as cents. The shares
     column may be empty. Errors name the 1-based data row.
     """
-    import csv  # only the mnav command reads holdings
-
+    header = ("ticker", "btc_held", "mkt_cap_usd", "shares_outstanding")
     rows: list[HoldingsRow] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    for row_no, (ticker, btc, cap_usd, shares) in csv_rows(path, header, HoldingsCsvError):
+        ticker = ticker.strip()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise HoldingsCsvError(f"{path}: empty file") from None
-        expected = ["ticker", "btc_held", "mkt_cap_usd", "shares_outstanding"]
-        if [c.strip() for c in header] != expected:
-            raise HoldingsCsvError(f"{path}: header must be {','.join(expected)}")
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 4:
-                raise HoldingsCsvError(f"{path}: row {row_no}: expected 4 fields")
-            ticker = row[0].strip()
-            try:
-                btc = float(row[1])
-                cap_usd = float(row[2])
-                if not math.isfinite(cap_usd * 100):
-                    raise ValueError("mkt_cap_usd must be finite")
-                shares = int(row[3]) if row[3].strip() else None
-                rows.append(
-                    HoldingsRow(
-                        ticker=ticker,
-                        btc_held=btc,
-                        mkt_cap_cents=int(round(cap_usd * 100)),
-                        shares_outstanding=shares,
-                    )
-                )
-            except ValueError as exc:
-                raise HoldingsCsvError(f"{path}: row {row_no} ({ticker}): {exc}") from None
+            btc, cap_usd = float(btc), float(cap_usd)
+            if not math.isfinite(cap_usd * 100):
+                raise ValueError("mkt_cap_usd must be finite")
+            shares = int(shares) if shares.strip() else None
+            rows.append(HoldingsRow(ticker, btc, int(round(cap_usd * 100)), shares))
+        except ValueError as exc:
+            name = ticker if ticker.isprintable() and len(ticker) <= 60 else shown(ticker)
+            raise HoldingsCsvError(f"{path}: row {row_no} ({name}): {exc}") from None
     return rows

@@ -1,9 +1,11 @@
 """Command-line behavior: outputs, determinism, exit-code contract."""
 
 import contextlib
+import datetime
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -145,11 +147,24 @@ def _latin1(raw: dict) -> bytes:
     return json.dumps(raw, ensure_ascii=False).encode("latin-1")
 
 
+# JSON nested far past the recursion limit; each config case has it beside
+# its config as deep.json.
+DEEP_JSON = "[" * 100_000
+
+
+def _deep_graph_path(raw: dict) -> bytes:
+    del raw["graph"]
+    raw["graph_path"] = "deep.json"
+    return json.dumps(raw).encode()
+
+
 def _malformed_cli_cases():
     for dotted, value, key in MALFORMED_CONFIGS:
         yield pytest.param(["simulate"], (dotted, value), key, id=f"{dotted}={value!r}")
     yield pytest.param(["simulate"], _truncated, "scenario.json", id="truncated-json")
     yield pytest.param(["simulate"], _latin1, "scenario.json", id="not-utf8")
+    yield pytest.param(["simulate"], lambda raw: DEEP_JSON.encode(), "scenario.json", id="nested-too-deep")
+    yield pytest.param(["simulate"], _deep_graph_path, "graph_path", id="graph-path-nested-too-deep")
     # Overrides are applied to the loaded config, so file errors still win.
     for argv, edit, key in (
         (["simulate", "--seed", "5"], ("rebalence", {}), "rebalence"),
@@ -168,6 +183,7 @@ class TestConfigErrors:
             data = json.dumps(set_key(stress_scenario_raw(), *edit)).encode()
         config = tmp_path / "scenario.json"
         config.write_bytes(data)
+        (tmp_path / "deep.json").write_text(DEEP_JSON)
         out = tmp_path / "r.json"
         code = main([*argv, "--config", str(config), "--out", str(out)])
         err = capsys.readouterr().err
@@ -315,6 +331,14 @@ class TestMnav:
         assert "row 2 (BAD)" in captured.err and "finite" in captured.err
         assert not out.exists()
 
+    def test_a_share_count_past_the_float_range_is_refused(self, tmp_path, capsys):
+        p = tmp_path / "h.csv"
+        p.write_text("ticker,btc_held,mkt_cap_usd,shares_outstanding\nBIG,1,1,1" + "0" * 400 + "\n")
+        assert main(["mnav", "--holdings", str(p), "--price", "110300"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {p}: row 1 (BIG): shares_outstanding must be in the float range")
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "mnav.csv"
         main(
@@ -389,6 +413,9 @@ class TestFileErrors:
             (["mnav", "--holdings", "HOLDINGS", "--price", "1", "--csv", "NODIR"], "NODIR"),
             (["route", "--graph", "NOFILE", *ROUTE_ARGS], "NOFILE"),
             (["route", "--graph", "LATIN1", *ROUTE_ARGS], "LATIN1"),
+            (["mnav", "--holdings", "LONG_HOLDINGS", "--price", "1"], "LONG_HOLDINGS"),
+            (["corr", "--a", "PRICES", "--b", "LONG_PRICES"], "LONG_PRICES"),
+            (["corr", "--a", "LATE", "--b", "PRICES"], "LATE"),
         ],
         ids=[
             "mnav-holdings-not-utf8",
@@ -400,6 +427,9 @@ class TestFileErrors:
             "mnav-csv-no-dir",
             "route-graph-missing",
             "route-graph-not-utf8",
+            "mnav-holdings-field-over-limit",
+            "corr-b-field-over-limit",
+            "corr-a-not-utf8-past-16k",
         ],
     )
     def test_exit_1_naming_the_file(self, argv, culprit, scenario_file, tmp_path, capsys):
@@ -408,6 +438,21 @@ class TestFileErrors:
         latin1.write_bytes("date,price\n2024-01-01,1\n# caf\u00e9\n".encode("latin-1"))
         prices = tmp_path / "prices.csv"
         prices.write_text("date,price\n2024-01-01,1\n2024-01-02,2\n")
+        # The csv module refuses a field over 131,072 characters.
+        long_holdings = tmp_path / "long_holdings.csv"
+        long_holdings.write_text("ticker,btc_held,mkt_cap_usd,shares_outstanding\n" + "X" * 200_000 + ",1,1,\n")
+        long_prices = tmp_path / "long_prices.csv"
+        long_prices.write_text("date,price\n2024-01-01,1\n2024-01-02," + "9" * 200_000 + "\n")
+        # A bad byte past the first 16 KB, where a text reader's decode
+        # chunk no longer starts at the start of the file.
+        late = tmp_path / "late.csv"
+        rows = "".join(f"{datetime.date.fromordinal(730_000 + i)},1\n" for i in range(1_500))
+        late.write_bytes(f"date,price\n{rows}".encode() + b"\xff")
+        expected = {
+            "LONG_HOLDINGS": ": row 1: field larger than field limit",
+            "LONG_PRICES": ": row 2: field larger than field limit",
+            "LATE": f"(invalid start byte at byte {late.stat().st_size - 1})",
+        }
         paths = {
             "LATIN1": latin1,
             "PRICES": prices,
@@ -416,13 +461,30 @@ class TestFileErrors:
             "OUT": tmp_path / "report.json",
             "NODIR": tmp_path / "missing" / "out.file",
             "NOFILE": tmp_path / "nope.json",
+            "LONG_HOLDINGS": long_holdings,
+            "LONG_PRICES": long_prices,
+            "LATE": late,
         }
         assert main([str(paths.get(arg, arg)) for arg in argv]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {paths[culprit]}: ")
+        assert expected.get(culprit, "") in captured.err
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not paths["OUT"].exists()
+
+    def test_json_nested_near_the_recursion_limit_is_refused(self, tmp_path, capsys):
+        # Just under the limit a file loads, and an error message must still
+        # show its value; past it, the file is not valid JSON.
+        deep = tmp_path / "deep.json"
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 300, limit + 1):
+            deep.write_text("[" * depth + "]" * depth)
+            assert main(["simulate", "--config", str(deep), "--out", str(tmp_path / "r.json")]) == 2
+            assert main(["route", "--graph", str(deep), *ROUTE_ARGS]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err[0].startswith("error: invalid config: ")
+            assert err[1].startswith("error: graph: ") and len(err) == 2
 
     @pytest.mark.parametrize("command", ["simulate", "stress"])
     def test_out_and_csv_naming_one_file_is_a_usage_error(
@@ -629,6 +691,73 @@ class TestEveryConfigRunsOrIsRefused:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config: its numbers overflow") and "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
+
+
+# The parts hostile data files are made of: a field past the csv module's
+# 131,072-character limit, an unbalanced quote, a NUL, a byte that is not
+# UTF-8, a field too many or too few, and numbers at or past the float range.
+HOSTILE_CELLS = st.sampled_from(
+    [b"x" * 200_000, b'"unbalanced', b"a\x00b", b"caf\xe9", b"", b"1,2", b"1e300", b"1e-300"]
+    + [b"nan", b"inf", b"-inf", b"0", b"-1", b"1" + b"0" * 400]
+)
+HOSTILE_JSON = st.sampled_from(
+    [1e300, 1e-300, math.nan, math.inf, 10**400, -1, 0.5, "x" * 200_000, "a\x00b", None, [], {}]
+)
+# The route failures that are usage errors: exit 2.
+ROUTE_USAGE_ERRORS = ("error: unknown node\n", "error: source and destination must differ\n")
+
+
+def _hostile_csv(data, header: str, rows: list[list[str]]) -> bytes:
+    """``header`` and ``rows`` as CSV bytes, up to two fields swapped for hostile parts."""
+    cells = [[cell.encode() for cell in row] for row in rows]
+    spots = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, len(rows[0]) - 1))
+    for r, c in data.draw(st.lists(spots, max_size=2), label="swapped"):
+        cells[r][c] = data.draw(HOSTILE_CELLS, label=f"row {r + 1} field {c + 1}")
+    return b"\n".join([header.encode(), *map(b",".join, cells)]) + b"\n"
+
+
+def _hostile_graph(data) -> bytes:
+    """A chain graph spec with hostile leaves, or a file that is not one."""
+    spec = chain_spec()
+    for key in data.draw(st.lists(st.sampled_from(leaves(spec, (int, str, bool))), max_size=2), label="keys"):
+        set_key(spec, key, data.draw(HOSTILE_JSON, label=key))
+    text = json.dumps(spec).encode()
+    return data.draw(st.sampled_from([text, text + b"\xff", text[: len(text) // 2], DEEP_JSON.encode()]))
+
+
+class TestEveryDataFileRunsOrIsRefused:
+    """``mnav``, ``corr`` and ``route`` on data files built from hostile
+    parts exit 0, or 1 with one ``error:`` line; ``route`` exits 2 only for
+    its usage errors. A failed ``mnav`` writes no ``--csv`` file."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_exit_0_or_one_error_line(self, data):
+        command = data.draw(st.sampled_from(["mnav", "corr", "route"]), label="command")
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b, out = Path(tmp, "a"), Path(tmp, "b"), Path(tmp, "out.csv")
+            if command == "mnav":
+                rows = [["EQ", "100", "11030000", "1000"], ["AB", "2.5", "1", ""]]
+                a.write_bytes(_hostile_csv(data, "ticker,btc_held,mkt_cap_usd,shares_outstanding", rows))
+                argv = ["mnav", "--holdings", str(a), "--price", "110300", "--csv", str(out)]
+            elif command == "corr":
+                dates = [f"2024-01-0{day}" for day in range(1, 5)]
+                for path, prices in ((a, ["1", "3", "2", "4"]), (b, ["1", "2", "3", "5"])):
+                    path.write_bytes(_hostile_csv(data, "date,price", [list(r) for r in zip(dates, prices)]))
+                argv = ["corr", "--a", str(a), "--b", str(b)]
+                argv += data.draw(st.sampled_from([[], ["--returns"]]), label="returns")
+            else:
+                a.write_bytes(_hostile_graph(data))
+                nodes = st.sampled_from(["A", "B", "C", "nope"])
+                argv = ["route", "--graph", str(a), "--from", data.draw(nodes), "--to", data.draw(nodes)]
+                argv += ["--amount-sats", str(data.draw(st.sampled_from([1, 10**6, 10**12])))]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            err = err.getvalue()
+            assert code in (0, 1) or command == "route" and err in ROUTE_USAGE_ERRORS, (code, err[:300])
+            assert err == "" or err.startswith("error: ") and err.count("\n") == 1, err[:300]
+            assert code == 0 or not out.exists()
 
 
 # Each domain bound: (dotted key, value past it, largest value within it).
@@ -1002,11 +1131,15 @@ class TestRoute:
             pytest.param(("hubb", "B"), "hubb", id="spec-typo"),
             pytest.param(("channels.0.policy_ba.fee", 1), "channels[0].policy_ba.fee",
                          id="policy-typo"),
+            pytest.param("deep", "nested too deeply", id="nested-too-deep"),
         ],
     )
     def test_malformed_graph_exit_1(self, edit, key, tmp_path, capsys):
         graph = tmp_path / "graph.json"
-        graph.write_text(json.dumps([1, 2] if edit is None else set_key(chain_spec(), *edit)))
+        if edit == "deep":
+            graph.write_text(DEEP_JSON)
+        else:
+            graph.write_text(json.dumps([1, 2] if edit is None else set_key(chain_spec(), *edit)))
         argv = ["route", "--graph", str(graph), "--from", "A", "--to", "C"]
         assert main([*argv, "--amount-sats", "10"]) == 1
         err = capsys.readouterr().err
@@ -1096,6 +1229,23 @@ class TestCorr:
         self._write(p, [("2030-01-01", 5.0), ("2030-01-02", 6.0)])
         assert main(["corr", "--a", str(series_file), "--b", str(p)]) == 1
         assert "overlap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_prices_at_either_end_of_the_float_range(self, scale, tmp_path, capsys):
+        # r = 0.5 at any scale; squares of 1e200 overflow, of 1e-200 vanish.
+        dates = ["2024-01-01", "2024-01-02", "2024-01-03"]
+        self._write(tmp_path / "a.csv", zip(dates, [1 * scale, 3 * scale, 2 * scale]))
+        self._write(tmp_path / "b.csv", zip(dates, [1, 2, 3]))
+        assert main(["corr", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv")]) == 0
+        assert capsys.readouterr().out == "0.50000\n"
+
+    def test_a_return_past_the_float_range_exit_1(self, series_file, tmp_path, capsys):
+        p = tmp_path / "b.csv"
+        self._write(p, [("2024-01-01", 1e-300), ("2024-01-02", 1e300), ("2024-01-03", 1.0)])
+        assert main(["corr", "--a", str(series_file), "--b", str(p), "--returns"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: a return is past the float range\n"
+        assert captured.out == ""
 
 
 class TestHelp:

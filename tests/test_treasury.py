@@ -76,6 +76,11 @@ class TestMnav:
             mnav(1, 1.0, 0)
         with pytest.raises(ValueError):
             mnav(-1, 1.0, 1)
+        for btc_held in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                mnav(1, btc_held, 1)
+            with pytest.raises(ValueError, match="positive and finite"):
+                btc_per_share(btc_held, 1)
 
 
 class TestBtcPerShare:
